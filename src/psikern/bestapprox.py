@@ -1,18 +1,22 @@
 """Best L1 and uniform approximation by trigonometric polynomials.
 
-Both problems are discretized on a uniform M-point grid and solved by an
-in-repo dense-tableau simplex (deterministic pivot order, Dantzig pricing
-with a permanent switch to Bland's rule if the objective stalls, so
-degenerate L1/Chebyshev bases cannot cycle).
+Both problems are discretized on a uniform M-point grid:
 
     best_l1:      min sum_i w_i |f(t_i) - p(t_i)|,  w_i = 2*pi/M
     best_uniform: min max_i |f(t_i) - p(t_i)|
 
 with p ranging over order-(n-1) polynomials (2n-1 free coefficients).
-The L1 start basis is the split-residual identity (rows flipped to make
-the right side nonnegative); the Chebyshev start pivots the error column
-into the row of the largest |f(t_i)|, which is feasible outright, so
-neither problem needs a Phase I.
+
+best_l1 runs an in-repo revised simplex (deterministic pivot order,
+Dantzig pricing with a permanent switch to Bland's rule if the objective
+stalls, so degenerate bases cannot cycle).  Its start basis is the
+split-residual identity, feasible outright, so it needs no Phase I.
+
+best_uniform runs the Stiefel reference exchange.  Order-(n-1)
+polynomials are a Haar space of dimension 2n-1 on the circle, so a
+reference of 2n points with alternating error signs determines a
+levelled error h, and |h| <= E <= max|f - p| brackets the minimax E at
+every step (de la Vallee Poussin).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverStall
-from .trig import TrigPoly
+from .trig import TrigPoly, _sample
 
 REDCOST_TOL = 1e-9
 PIVOT_TOL = 1e-10
@@ -35,7 +39,8 @@ class ApproxResult:
     """Best-approximation value and the minimizing polynomial.
 
     duals holds the discrete dual variables (L1 metric only; one per grid
-    point, in [-1, 1] at optimality); iterations is the simplex count.
+    point, in [-1, 1] at optimality); iterations is the simplex count for
+    L1 and the exchange count for the uniform metric.
     """
 
     value: float
@@ -44,56 +49,6 @@ class ApproxResult:
     metric: str
     duals: np.ndarray | None = None
     iterations: int = 0
-
-
-def _simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
-             max_iter: int) -> tuple[np.ndarray, int]:
-    """Minimize cost@x over T (m x (nvars+1) tableau, basis columns already
-    reduced to the identity, rhs column nonnegative).  Mutates T and basis;
-    returns the final reduced-cost row and the iteration count."""
-    m, w = T.shape
-    nv = w - 1
-    z = cost - cost[basis] @ T[:, :nv]
-    bland = False
-    since_improve = 0
-    for it in range(max_iter):
-        if bland:
-            negs = np.nonzero(z < -REDCOST_TOL)[0]
-            if len(negs) == 0:
-                return z, it
-            j = int(negs[0])
-        else:
-            j = int(np.argmin(z))
-            if z[j] >= -REDCOST_TOL:
-                return z, it
-        col = T[:, j]
-        pos = col > PIVOT_TOL
-        if not np.any(pos):
-            raise SolverStall("LP column unbounded below; formulation bug",
-                              iterations=it)
-        ratios = np.full(m, np.inf)
-        ratios[pos] = T[pos, -1] / col[pos]
-        r = int(np.argmin(ratios))
-        if bland:
-            best = ratios[r]
-            tied = np.nonzero(ratios <= best + 1e-300 + 1e-12 * abs(best))[0]
-            r = int(tied[np.argmin(basis[tied])])
-        step = ratios[r]
-        if -z[j] * step > 1e-15 * (1.0 + abs(z[j])):
-            since_improve = 0
-        else:
-            since_improve += 1
-            if since_improve > STALL_WINDOW:
-                bland = True
-        T[r] /= T[r, j]
-        other = T[:, j].copy()
-        other[r] = 0.0
-        T -= np.outer(other, T[r])
-        z = z - z[j] * T[r, :nv]
-        basis[r] = j
-    raise SolverStall(
-        f"simplex did not reach reduced-cost tolerance {REDCOST_TOL}",
-        iterations=max_iter)
 
 
 def _design(n: int, t: np.ndarray) -> np.ndarray:
@@ -109,16 +64,6 @@ def _design(n: int, t: np.ndarray) -> np.ndarray:
 
 def _coeff_poly(n: int, c: np.ndarray) -> TrigPoly:
     return TrigPoly(c[0], c[1:n], c[n:2 * n - 1])
-
-
-def _samples(f, t: np.ndarray) -> np.ndarray:
-    try:
-        fv = np.asarray(f(t), dtype=np.float64)
-        if fv.shape != t.shape:
-            raise TypeError
-        return fv
-    except (TypeError, ValueError):
-        return np.array([float(f(x)) for x in t])
 
 
 def _grid(n: int, M: int | None) -> np.ndarray:
@@ -262,7 +207,7 @@ def best_l1(f, n: int, M: int | None = None) -> ApproxResult:
     """
     t = _grid(n, M)
     M = len(t)
-    fv = _samples(f, t)
+    fv = _sample(f, t)
     d = 2 * n - 1
     Phi = _design(n, t)
     c, duals, iters = _l1_revised(Phi, fv, max_iter=50 * (M + d))
@@ -272,49 +217,46 @@ def best_l1(f, n: int, M: int | None = None) -> ApproxResult:
 
 
 def best_uniform(f, n: int, M: int | None = None) -> ApproxResult:
-    """Discrete Chebyshev approximation error: min e over |f(t_i)-p(t_i)| <= e.
+    """Discrete Chebyshev approximation error min_p max_i |f(t_i) - p(t_i)|.
 
-    Rows come in pairs (one per inequality side) with slacks; the error
-    column is pivoted into the row of max |f| to start feasible.
+    Single-point (Stiefel) exchange on a reference R of 2n grid points:
+    solve Phi_R c + sigma h = f_R with alternating sigma, so the residual
+    levels at +-h on R, then swap the grid point of largest |r| for the
+    cyclic neighbour whose residual has the same sign.  Each step brackets
+    |h| <= E <= max|r| (de la Vallee Poussin); the loop stops once the two
+    agree to 1e-13 max|f|, and value is max|r| of the returned polynomial.
     """
     t = _grid(n, M)
     M = len(t)
-    fv = _samples(f, t)
+    fv = _sample(f, t)
     d = 2 * n - 1
     Phi = _design(n, t)
-    m = 2 * M
-    e_col = 2 * d
-    nv = 2 * d + 1 + 2 * M
-    T = np.zeros((m, nv + 1))
-    # rows 0..M-1:   -Phi c - e + s1 = -f   (from f - p <= e, flipped)
-    # rows M..2M-1:   Phi c - e + s2 =  f   (from p - f <= e)
-    T[:M, :d] = -Phi
-    T[:M, d:2 * d] = Phi
-    T[M:, :d] = Phi
-    T[M:, d:2 * d] = -Phi
-    T[:, e_col] = -1.0
-    idx = np.arange(M)
-    T[idx, 2 * d + 1 + idx] = 1.0
-    T[M + idx, 2 * d + 1 + M + idx] = 1.0
-    T[:M, -1] = -fv
-    T[M:, -1] = fv
-    basis = np.concatenate([2 * d + 1 + idx, 2 * d + 1 + M + idx])
-    # single pivot of e into the most infeasible row makes the rhs >= 0
-    r = int(np.argmin(T[:, -1]))
-    if T[r, -1] < 0.0:
-        T[r] /= T[r, e_col]
-        other = T[:, e_col].copy()
-        other[r] = 0.0
-        T -= np.outer(other, T[r])
-        basis[r] = e_col
-    cost = np.zeros(nv)
-    cost[e_col] = 1.0
-    z, iters = _simplex(T, basis, cost, max_iter=50 * (m + d))
-    x = np.zeros(nv)
-    x[basis] = T[:, -1]
-    value = float(x[e_col])
-    c = x[:d] - x[d:2 * d]
-    return ApproxResult(value, _coeff_poly(n, c), M, "Uniform", None, iters)
+    R = (np.arange(2 * n) * M) // (2 * n)
+    A = np.empty((2 * n, 2 * n))
+    A[:, -1] = np.where(np.arange(2 * n) % 2 == 0, 1.0, -1.0)
+    tol = 1e-13 * float(np.max(np.abs(fv)))
+    for it in range(50 * (M + d)):
+        A[:, :d] = Phi[R]
+        try:
+            sol = np.linalg.solve(A, fv[R])
+        except np.linalg.LinAlgError:
+            raise SolverStall("singular exchange reference", iterations=it)
+        c, h = sol[:d], sol[-1]
+        r = fv - Phi @ c
+        j = int(np.argmax(np.abs(r)))
+        value = float(abs(r[j]))
+        if value - abs(h) <= tol:
+            return ApproxResult(value, _coeff_poly(n, c), M, "Uniform",
+                                None, it)
+        # R[k-1] < j < R[k] cyclically; the residual on R is sigma h, so
+        # the neighbour sharing sign(r_j) is the one j replaces
+        k = int(np.searchsorted(R, j)) % (2 * n)
+        if (A[k, -1] * h > 0.0) != (r[j] > 0.0):
+            k -= 1
+        R[k] = j
+        R.sort()
+    raise SolverStall("exchange did not level the reference error",
+                      iterations=50 * (M + d))
 
 
 def oracle_best_l1(f, n: int, M: int | None = None) -> float:
@@ -328,7 +270,7 @@ def oracle_best_l1(f, n: int, M: int | None = None) -> float:
         raise ValueError("oracle covers n in {1, 2} only")
     t = _grid(n, M)
     M = len(t)
-    fv = _samples(f, t)
+    fv = _sample(f, t)
     Phi = _design(n, t)
     d = 2 * n - 1
     w = 2.0 * math.pi / M

@@ -248,17 +248,19 @@ def _tail_kernel_setup(psi: PsiFamily, n: int, rel_tol: float):
     """
     T = tail_sum(psi, n, rel_tol)
     target = rel_tol * T.value if T.value > 0.0 else rel_tol
-    psi._ensure(max(len(psi._vals), n + 8))
-    while psi._tail_remainder(len(psi._vals)) > target:
-        if len(psi._vals) >= TERM_BUDGET:
+    psi._ensure(n + 8)
+    cached = psi._vals
+    while psi._tail_remainder(len(cached)) > target:
+        if len(cached) >= TERM_BUDGET:
             raise SlowConvergence(
-                f"{psi.label()}: kernel truncation stalled at K={len(psi._vals)}",
-                terms_used=len(psi._vals))
-        psi._ensure(2 * len(psi._vals))
+                f"{psi.label()}: kernel truncation stalled at K={len(cached)}",
+                terms_used=len(cached))
+        psi._ensure(2 * len(cached))
+        cached = psi._vals
     # the cache may be far longer than needed (grown for tighter-purpose
     # sums earlier); slice at the smallest certified cutoff so the trig
     # tables stay O(K) and not O(cache)
-    lo, hi = n + 8, len(psi._vals)
+    lo, hi = n + 8, len(cached)
     while lo < hi:
         mid = (lo + hi) // 2
         if psi._tail_remainder(mid) <= target:
@@ -266,7 +268,7 @@ def _tail_kernel_setup(psi: PsiFamily, n: int, rel_tol: float):
         else:
             lo = mid + 1
     K = lo
-    vals = psi._vals[n - 1:K]
+    vals = cached[n - 1:K]
     ks = np.arange(n, K + 1, dtype=np.float64)
     trunc = float(psi._tail_remainder(K))
     return ks, vals, trunc

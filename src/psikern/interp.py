@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trig import TrigPoly, dirichlet
+from .trig import TrigPoly, _sample, dirichlet
 
 
 @dataclass(frozen=True)
@@ -79,16 +79,6 @@ def node_sum_eval(samples, n: int, x):
     D = dirichlet(n, xv[:, None] - xk[None, :])
     out = 2.0 / N * (D @ s)
     return float(out[0]) if scalar else out
-
-
-def _sample(f, xk: np.ndarray) -> np.ndarray:
-    try:
-        s = np.asarray(f(xk), dtype=np.float64)
-        if s.shape != xk.shape:
-            raise TypeError
-        return s
-    except (TypeError, ValueError):
-        return np.array([float(f(x)) for x in xk])
 
 
 def deviation(f, n: int, x):

@@ -29,6 +29,7 @@ characteristics
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -44,6 +45,8 @@ from .errors import (
 
 DEFAULT_REL_TOL = 1e-12
 DEFAULT_TERM_BUDGET = 10_000_000
+# serializes cache growth so a cache never shrinks under a racing grower
+_GROW_LOCK = threading.Lock()
 
 # ---------------------------------------------------------------------------
 # result records
@@ -124,7 +127,9 @@ class PsiFamily:
     for the majorant's precondition), and optional closed forms.
 
     Instances are immutable apart from an internal, monotonically growing
-    summation cache; all public operations are safe for concurrent reads.
+    summation cache.  The cache is the pair (psi(1..C), suffix sums),
+    published in one rebind and read through one local snapshot, so all
+    public operations are safe for concurrent use.
     """
 
     kind: str = "abstract"
@@ -136,9 +141,8 @@ class PsiFamily:
     m_alpha_member: bool = False
 
     def __init__(self):
-        self._vals = np.empty(0, dtype=np.float64)
-        self._suf = np.zeros(1, dtype=np.float64)
-        self._sufk = np.zeros(1, dtype=np.float64)
+        self._cache = (np.empty(0, dtype=np.float64),
+                       np.zeros(1, dtype=np.float64))
 
     # -- formula hooks ------------------------------------------------------
 
@@ -183,22 +187,26 @@ class PsiFamily:
 
     # -- cache --------------------------------------------------------------
 
+    @property
+    def _vals(self) -> np.ndarray:
+        return self._cache[0]
+
     def _ensure(self, length: int) -> None:
-        have = len(self._vals)
-        if length <= have:
-            return
-        ks = np.arange(have + 1, length + 1, dtype=np.float64)
-        new = self._values_array(ks)
-        if np.any(new < 0.0) or not np.all(np.isfinite(new)):
-            raise ValueError(f"{self.kind}: sequence values must be finite and >= 0")
-        self._vals = np.concatenate([self._vals, new])
-        # suffix sums, accumulated from the far (small) end so every entry
-        # is accurate relative to itself, not to the head of the series
-        rev = np.cumsum(self._vals[::-1])[::-1]
-        self._suf = np.concatenate([rev, [0.0]])
-        kv = self._vals * np.arange(1, len(self._vals) + 1, dtype=np.float64)
-        revk = np.cumsum(kv[::-1])[::-1]
-        self._sufk = np.concatenate([revk, [0.0]])
+        with _GROW_LOCK:
+            vals = self._cache[0]
+            have = len(vals)
+            if length <= have:
+                return
+            ks = np.arange(have + 1, length + 1, dtype=np.float64)
+            new = self._values_array(ks)
+            if np.any(new < 0.0) or not np.all(np.isfinite(new)):
+                raise ValueError(
+                    f"{self.kind}: sequence values must be finite and >= 0")
+            vals = np.concatenate([vals, new])
+            # suffix sums, accumulated from the far (small) end so every
+            # entry is accurate relative to itself, not to the series head
+            rev = np.cumsum(vals[::-1])[::-1]
+            self._cache = (vals, np.concatenate([rev, [0.0]]))
 
     def head(self, K: int) -> np.ndarray:
         """psi(1..K) as an array (grows the cache as needed)."""
@@ -256,8 +264,9 @@ def tail_sum(psi: PsiFamily, n: int, rel_tol: float | None = None,
         return CertifiedSum(float(closed), 0.0, 0)
 
     def compute():
-        C = len(psi._vals)
-        return psi._suf[n - 1], psi._tail_remainder(C), C - n + 1
+        vals, suf = psi._cache
+        C = len(vals)
+        return suf[n - 1], psi._tail_remainder(C), C - n + 1
 
     return _certified(psi, int(n), rel_tol, budget, compute, "tail_sum")
 
@@ -271,10 +280,11 @@ def weighted_tail(psi: PsiFamily, n: int, rel_tol: float | None = None,
         return CertifiedSum(float(closed), 0.0, 0)
 
     def compute():
-        C = len(psi._vals)
+        vals = psi._vals
+        C = len(vals)
         # direct dot keeps the sum nonnegative-term (no head cancellation)
         w = np.arange(1.0, C - n + 1.0)
-        value = float(np.dot(w, psi._vals[n:C])) / n
+        value = float(np.dot(w, vals[n:])) / n
         return value, psi._ktail_remainder(C) / n, C - n
 
     return _certified(psi, n, rel_tol, budget, compute, "weighted_tail")
@@ -317,13 +327,14 @@ def double_tail(psi: PsiFamily, n: int, rel_tol: float | None = None,
             kmax = k_start + 2 * blocks - 1
 
     def compute():
-        C = len(psi._vals)
+        vals, suf = psi._cache
+        C = len(vals)
         kmax = (C - n) // s
         if kmax < k_start:
             return 0.0, math.inf, 0
         ks = np.arange(k_start, kmax + 1, dtype=np.int64)
         ms = n + ks * s
-        value = float(np.sum(psi._suf[ms - 1]))
+        value = float(np.sum(suf[ms - 1]))
         inner = len(ks) * psi._tail_remainder(C)
         mstar = int(n + (kmax + 1) * s)
         # counting bound for the dropped outer terms:
@@ -366,8 +377,9 @@ def truncation_order(psi: PsiFamily, rel_tol: float = 1e-12,
     budget = DEFAULT_TERM_BUDGET if budget is None else int(budget)
     psi._ensure(64)
     while True:
-        C = len(psi._vals)
-        head = psi._suf[0]
+        vals, suf = psi._cache
+        C = len(vals)
+        head = suf[0]
         rem = psi._tail_remainder(C)
         if rem <= rel_tol * head or (head == 0.0 and rem == 0.0):
             return C
@@ -438,23 +450,6 @@ def characteristics(psi: PsiFamily, t: float) -> Characteristics:
     if not eta > t:
         raise NonMonotone(f"{psi.label()}: eta({t}) did not exceed t")
     return Characteristics(a, lam, eta, t / (eta - t))
-
-
-def midpoint_convexity_ok(psi: PsiFamily, t_max: float = 256.0,
-                          samples: int = 48) -> bool:
-    """Sampled diagnostic: psi(t1) - 2 psi((t1+t2)/2) + psi(t2) >= 0.
-
-    Diagnostic only; never used as a gate.
-    """
-    ts = np.geomspace(1.0, t_max, samples)
-    for i in range(len(ts) - 2):
-        t1, t2 = ts[i], ts[i + 2]
-        mid = 0.5 * (t1 + t2)
-        v = psi._psi_continuous(t1) - 2.0 * psi._psi_continuous(mid) \
-            + psi._psi_continuous(t2)
-        if v < -1e-12 * (abs(psi._psi_continuous(t1)) + 1e-300):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,17 @@ def psi_derivative(f: TrigPoly, spec: KernelSpec) -> TrigPoly:
     return TrigPoly(0.0, a, b)
 
 
+def _sample(f, t: np.ndarray) -> np.ndarray:
+    """f on the points t: one vectorized call, pointwise if f is scalar-only."""
+    try:
+        fv = np.asarray(f(t), dtype=np.float64)
+        if fv.shape != t.shape:
+            raise TypeError
+        return fv
+    except (TypeError, ValueError):
+        return np.array([float(f(x)) for x in t])
+
+
 def convolve_quadrature(spec: KernelSpec, phi, x: float, M: int,
                         rel_tol: float = 1e-12) -> float:
     """mean(phi) + (1/pi) int_0^{2pi} K_beta(x-t) phi(t) dt by the periodic
@@ -236,12 +247,7 @@ def convolve_quadrature(spec: KernelSpec, phi, x: float, M: int,
     if M < 4:
         raise ValueError("M must be >= 4")
     tj = 2.0 * math.pi * np.arange(M) / M
-    try:
-        pv = np.asarray(phi(tj), dtype=np.float64)
-        if pv.shape != tj.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        pv = np.array([float(phi(t)) for t in tj])
+    pv = _sample(phi, tj)
     K = truncation_order(spec.psi, rel_tol)
     ks = np.arange(1.0, K + 1.0)
     kv = np.cos(np.outer(x - tj, ks) - spec.phase) @ spec.psi.head(K)

@@ -1,4 +1,8 @@
-"""Best L1 and Chebyshev approximation via the in-repo simplex.
+"""Best L1 approximation via the in-repo revised simplex and best uniform
+approximation via the reference exchange.
+
+The uniform tests pit the exchange against scipy's HiGHS on the same
+discretisation (a test-only import).
 
 DISCRETE_ABS_COS is the trapezoid value (2*pi/M) sum |cos| on the 64
 points per period grid; the LP must reproduce it because the zero
@@ -13,11 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psikern import (
+    KernelSpec,
+    Neumann,
     TrigPoly,
     best_l1,
     best_uniform,
     oracle_best_l1,
+    psi_integral,
 )
+from psikern.harness import _random_phi
 
 DISCRETE_ABS_COS = 3.996786721940289  # (pi/32) * sum_{j<64} |cos(pi j/32)|
 
@@ -100,6 +108,64 @@ def test_uniform_residual_equioscillates():
     # a characterizing set: at least 2n points touch the extreme level
     touches = np.sum(np.abs(np.abs(res) - r.value) < 1e-8 * max(r.value, 1.0))
     assert touches >= 2 * n
+
+
+def _highs_uniform(fv, n):
+    """min_(c, e) e s.t. |fv - Phi c| <= e, solved by HiGHS.  At its
+    default 1e-7 feasibility tolerances HiGHS is off by 2e-5 relative on
+    the neumann input below, so both are tightened to their 1e-10 floor."""
+    from scipy.optimize import linprog
+
+    M = len(fv)
+    _, Phi = _grid_design(n, M)
+    ones = np.ones((M, 1))
+    A = np.vstack([np.hstack([Phi, -ones]), np.hstack([-Phi, -ones])])
+    cost = np.zeros(Phi.shape[1] + 1)
+    cost[-1] = 1.0
+    lp = linprog(cost, A_ub=A, b_ub=np.concatenate([fv, -fv]),
+                 bounds=[(None, None)] * Phi.shape[1] + [(0, None)],
+                 method="highs",
+                 options={"primal_feasibility_tolerance": 1e-10,
+                          "dual_feasibility_tolerance": 1e-10})
+    assert lp.status == 0
+    return lp.fun
+
+
+def test_uniform_value_is_attained_and_minimal():
+    """A neumann-kernel input on which a dense-tableau simplex returned
+    3.80835e-5, below both its own argmin's error (3.81875e-5) and the
+    discrete minimax (3.81448e-5)."""
+    beta = np.random.default_rng([23, 2]).uniform(0.0, 2.0)
+    phi = _random_phi(np.random.default_rng([23, 53]), 8)
+    f = psi_integral(KernelSpec(Neumann(0.5), beta), phi)
+    n, M = 8, 160
+    r = best_uniform(f, n, M)
+    t = 2 * math.pi * np.arange(M) / M
+    fv = f(t)
+    scale = float(np.max(np.abs(fv)))
+    assert abs(r.value - float(np.max(np.abs(fv - r.argmin(t))))) \
+        <= 1e-12 * scale
+    assert r.value == pytest.approx(_highs_uniform(fv, n), rel=1e-8)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_uniform_matches_highs(n):
+    # HiGHS works to a 1e-7 absolute tolerance, so only errors well above
+    # it on the scale of f are compared
+    M = 64 * n
+    t = 2 * math.pi * np.arange(M) / M
+    compared = 0
+    for seed in range(4):
+        rng = np.random.default_rng([seed, n])
+        k = np.arange(1, 2 * n + 1)
+        p = TrigPoly(rng.standard_normal(), rng.standard_normal(2 * n) / k,
+                     rng.standard_normal(2 * n) / k)
+        r = best_uniform(lambda x: p(x), n, M)
+        fv = p(t)
+        if r.value > 1e-3 * float(np.max(np.abs(fv))):
+            assert r.value == pytest.approx(_highs_uniform(fv, n), rel=1e-8)
+            compared += 1
+    assert compared >= 3
 
 
 def test_grid_shift_invariance():

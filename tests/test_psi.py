@@ -7,6 +7,8 @@ sum_nu (floor((nu-n)/(2n-1))+1) psi(nu) for the generalized-Poisson one.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -349,3 +351,39 @@ def test_tabulated_sums_are_exact(values, n):
 def test_tail_monotone_in_n(n):
     psi = AnalyticSech(0.65)
     assert tail_sum(psi, n + 1).value <= tail_sum(psi, n).value + 1e-15
+
+
+def test_concurrent_sums_match_serial():
+    """Threads growing one shared cache return the same enclosures as a
+    serial run on a fresh instance."""
+    ns = sorted({int(v) for v in np.geomspace(1, 3000, 24)})
+    sums = (tail_sum, weighted_tail, double_tail)
+
+    def run(psi, out):
+        for n in ns:
+            out.extend(f(psi, n) for f in sums)
+
+    serial = []
+    run(GenPoisson(1.0, 0.5), serial)
+    shared = GenPoisson(1.0, 0.5)
+    results = [[] for _ in range(4)]
+    threads = [threading.Thread(target=run, args=(shared, out))
+               for out in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for out in results:
+        assert len(out) == len(serial)
+        for got, ref in zip(out, serial):
+            # both enclose the true sum, so the intervals must meet
+            slack = 1e-14 * ref.value
+            assert got.value <= ref.hi + slack
+            assert ref.value <= got.hi + slack
+            assert got.value == pytest.approx(ref.value, rel=1e-11)
