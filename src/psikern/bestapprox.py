@@ -11,6 +11,11 @@ best_l1 runs an in-repo revised simplex (deterministic pivot order,
 Dantzig pricing with a permanent switch to Bland's rule if the objective
 stalls, so degenerate bases cannot cycle).  Its start basis is the
 split-residual identity, feasible outright, so it needs no Phase I.
+Dantzig pivots take the Barrodale-Roberts long step (SIAM J. Numer. Anal.
+10, 1973): one pivot passes every residual breakpoint at which the
+objective still falls, flipping those residuals' signs, so far fewer
+pivots reach the optimum.  A fit exact to roundoff stops at that floor
+instead of pivoting among residual signs that are noise.
 
 best_uniform runs the Stiefel reference exchange.  Order-(n-1)
 polynomials are a Haar space of dimension 2n-1 on the circle, so a
@@ -39,8 +44,10 @@ class ApproxResult:
     """Best-approximation value and the minimizing polynomial.
 
     duals holds the discrete dual variables (L1 metric only; one per grid
-    point, in [-1, 1] at optimality); iterations is the simplex count for
-    L1 and the exchange count for the uniform metric.
+    point, in [-1, 1] at optimality, and all zero when f is fitted exactly
+    to roundoff); iterations is the simplex count for L1, where a long
+    step counts as one pivot, and the exchange count for the uniform
+    metric.
     """
 
     value: float
@@ -74,127 +81,141 @@ def _grid(n: int, M: int | None) -> np.ndarray:
     return 2.0 * math.pi * np.arange(M) / M
 
 
+def _block_solve(A: np.ndarray, b: np.ndarray, it: int) -> np.ndarray:
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        raise SolverStall("singular L1 basis block", iterations=it)
+
+
 def _l1_revised(Phi: np.ndarray, fv: np.ndarray,
                 max_iter: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Revised simplex for min sum(u+v) s.t. Phi c + u - v = f, u, v >= 0.
 
     The residual columns are +-unit vectors, so the basis always splits
     into a small block of coefficient columns (rows P) and one residual
-    per remaining row; every basis solve is then p x p with p <= 2d.
+    per remaining row; every basis solve is then p x p with p <= d.
     Variable codes: j in [0, 2d) are the split coefficients (+Phi_j then
     -Phi_j), 2d+i is u_i, 2d+M+i is v_i.  Returns (c, duals, iterations).
+
+    Dantzig pivots take the Barrodale-Roberts long step.  Along the
+    entering ray the objective is convex piecewise linear: a basic u_i
+    (v_i) reaching zero need not leave, since continuing past it swaps it
+    for v_i (u_i) and adds 2 t_i to the slope, and a coefficient reaching
+    zero swaps +Phi_j for -Phi_j at no cost.  The step runs to the first
+    breakpoint where the slope turns nonnegative; that variable leaves and
+    every breakpoint before it flips.  One long step counts as one pivot.
+    Bland pivots, used once the objective stalls, take the short step.
+
+    An exact fit ends with every residual at roundoff, where their signs
+    are noise and pivots would wander among them.  Once sum|r| is below
+    1e-13 M max|f| and a pivot no longer lowers it, the loop stops and
+    returns y = 0, the dual point that certifies E >= 0.  A column priced
+    negative with no pivot above PIVOT_TOL is priced by roundoff, so the
+    next candidate enters instead.
     """
     M, d = Phi.shape
+    PhiT = np.ascontiguousarray(Phi.T)
     sigma = np.where(fv >= 0.0, 1.0, -1.0)      # +1: u_i basic, -1: v_i basic
     in_F = np.ones(M, dtype=bool)               # rows whose basic var is residual
     coeff_vars: list[int] = []                  # basic coefficient var codes
-    signed = np.concatenate([Phi.T, -Phi.T])    # signed columns, shape 2d x M
-
-    def signed_col(q):
-        return signed[q]
+    fscale = float(np.max(np.abs(fv)))
+    obj_floor = 1e-13 * M * fscale              # roundoff level of sum|r|
 
     bland = False
     since_improve = 0
     prev_obj = math.inf
     for it in range(max_iter):
-        P = np.nonzero(~in_F)[0]
-        F = np.nonzero(in_F)[0]
+        P = np.flatnonzero(~in_F)
+        F = np.flatnonzero(in_F)
         p = len(coeff_vars)
-        A_P = signed[coeff_vars][:, P].T if p else np.zeros((0, 0))
-        # basic values: coefficient block interpolates f on the P rows
-        if p:
-            try:
-                xc = np.linalg.solve(A_P, fv[P])
-            except np.linalg.LinAlgError:
-                raise SolverStall("singular L1 basis block", iterations=it)
-            fit = signed[coeff_vars].T @ xc
-        else:
-            xc = np.zeros(0)
-            fit = np.zeros(M)
-        w = sigma[F] * (fv[F] - fit[F])
+        # basic coefficient columns are sgn * Phi[:, col]
+        cv = np.asarray(coeff_vars, dtype=np.int64)
+        col, sgn = cv % d, np.where(cv < d, 1.0, -1.0)
+        A_P = Phi[np.ix_(P, col)] * sgn
         # duals: +-1 on free rows, interpolation system on active rows
-        y = np.empty(M)
-        y[F] = sigma[F]
-        if p:
-            rhsy = -(signed[coeff_vars][:, F] @ y[F])
-            try:
-                y[P] = np.linalg.solve(A_P.T, rhsy)
-            except np.linalg.LinAlgError:
-                raise SolverStall("singular L1 basis block", iterations=it)
-        zc = -(signed @ y)                       # reduced costs, coeff codes
-        zu = 1.0 - y
-        zv = 1.0 + y
-        z_all = np.concatenate([zc, zu, zv])
-        if bland:
-            negs = np.nonzero(z_all < -REDCOST_TOL)[0]
-            if len(negs) == 0:
+        y = np.where(in_F, sigma, 0.0)
+        y[P] = _block_solve(A_P.T, -sgn * (PhiT @ y)[col], it)
+        g = PhiT @ y
+        z_all = np.concatenate([-g, g, 1.0 - y, 1.0 + y])
+        negs = np.flatnonzero(z_all < -REDCOST_TOL)
+        if len(negs) == 0:
+            break
+        if not bland:                           # Dantzig: most negative first
+            negs = negs[np.argsort(z_all[negs], kind="stable")]
+        for q in negs:
+            # entering column in original coordinates
+            if q < 2 * d:
+                a = PhiT[q % d] if q < d else -PhiT[q % d]
+            else:
+                a = np.zeros(M)
+                a[(q - 2 * d) % M] = 1.0 if q < 2 * d + M else -1.0
+            # basic values and tableau column t = B^{-1} a, both through
+            # the block: the coefficients interpolate on the P rows
+            X = _block_solve(A_P, np.column_stack([fv[P], a[P]]), it)
+            C = np.zeros((d, 2))
+            C[col] = sgn[:, None] * X
+            fit = C.T @ PhiT
+            tt = np.concatenate([X[:, 1], sigma[F] * (a[F] - fit[1, F])])
+            pos = np.flatnonzero(tt > PIVOT_TOL)
+            if len(pos):
                 break
-            q = int(negs[0])
         else:
-            q = int(np.argmin(z_all))
-            if z_all[q] >= -REDCOST_TOL:
-                break
+            raise SolverStall("no L1 entering column has a pivot above "
+                              f"{PIVOT_TOL}", iterations=it)
+        w = sigma[F] * (fv[F] - fit[0, F])
         obj = float(np.sum(w))
-        if obj < prev_obj - 1e-15 * (1.0 + abs(prev_obj)):
+        # progress is judged on the scale of f, so tiny data is not stalled
+        if obj < prev_obj - 1e-15 * (fscale + abs(prev_obj)):
             since_improve = 0
+        elif obj <= obj_floor:                  # exact to roundoff, see above
+            y = np.zeros(M)
+            break
         else:
             since_improve += 1
             if since_improve > STALL_WINDOW:
                 bland = True
         prev_obj = obj
-        # entering column in original coordinates
-        if q < 2 * d:
-            a = signed_col(q)
-        elif q < 2 * d + M:
-            a = np.zeros(M); a[q - 2 * d] = 1.0
-        else:
-            a = np.zeros(M); a[q - 2 * d - M] = -1.0
-        # tableau column t = B^{-1} a via the same block split
-        if p:
-            tc = np.linalg.solve(A_P, a[P])
-            ta = signed[coeff_vars].T @ tc
-        else:
-            tc = np.zeros(0)
-            ta = np.zeros(M)
-        tr = sigma[F] * (a[F] - ta[F])
-        tt = np.concatenate([tc, tr])
         # roundoff can leave basic values at -1e-17; a negative ratio would
         # derail the pivot, so clamp before the ratio test
-        xb = np.maximum(np.concatenate([xc, w]), 0.0)
-        codes = np.array(coeff_vars
-                         + [2 * d + i if sigma[i] > 0 else 2 * d + M + i
-                            for i in F], dtype=np.int64)
-        pos = tt > PIVOT_TOL
-        if not np.any(pos):
-            raise SolverStall("unbounded L1 pivot; formulation bug",
-                              iterations=it)
-        ratios = np.full(len(tt), np.inf)
-        ratios[pos] = xb[pos] / tt[pos]
-        r = int(np.argmin(ratios))
+        xb = np.maximum(np.concatenate([X[:, 0], w]), 0.0)
+        ratios = xb[pos] / tt[pos]
         if bland:
-            best = ratios[r]
-            tied = np.nonzero(ratios <= best + 1e-300 + 1e-12 * abs(best))[0]
+            best = float(np.min(ratios))
+            tied = pos[ratios <= best + 1e-300 + 1e-12 * best]
+            codes = np.concatenate([cv, np.where(sigma[F] > 0, 2 * d + F,
+                                                 2 * d + M + F)])
             r = int(tied[np.argmin(codes[tied])])
-        leaving = int(codes[r])
-        # basis exchange across the four enter/leave type combinations
-        if leaving < 2 * d:
-            coeff_vars.remove(leaving)
+            passed = pos[:0]
         else:
-            row = leaving - 2 * d if leaving < 2 * d + M else leaving - 2 * d - M
-            in_F[row] = False
+            # long step: the leaving breakpoint is the first whose slope
+            # is nonnegative (argmax gives 0, the short step, if roundoff
+            # leaves every slope negative)
+            br = pos[np.argsort(ratios, kind="stable")]
+            slope = z_all[q] + np.cumsum(np.where(br >= p, 2.0 * tt[br], 0.0))
+            k = int(np.argmax(slope >= -REDCOST_TOL))
+            r, passed = int(br[k]), br[:k]
+        for j in passed[passed < p]:
+            coeff_vars[j] = (coeff_vars[j] + d) % (2 * d)
+        sigma[F[passed[passed >= p] - p]] *= -1.0
+        # basis exchange: position r of the basis leaves, q enters
+        if r < p:
+            del coeff_vars[r]
+        else:
+            in_F[F[r - p]] = False
         if q < 2 * d:
-            coeff_vars.append(q)
+            coeff_vars.append(int(q))
         else:
-            row = q - 2 * d if q < 2 * d + M else q - 2 * d - M
+            row = (q - 2 * d) % M
             in_F[row] = True
             sigma[row] = 1.0 if q < 2 * d + M else -1.0
     else:
         raise SolverStall(
             f"simplex did not reach reduced-cost tolerance {REDCOST_TOL}",
             iterations=max_iter)
-    c = np.zeros(2 * d)
-    c[coeff_vars] = xc
-    return c[:d] - c[d:], y, it
+    c = np.zeros(d)
+    c[col] = sgn * _block_solve(A_P, fv[P], it)
+    return c, y, it
 
 
 def best_l1(f, n: int, M: int | None = None) -> ApproxResult:

@@ -178,6 +178,7 @@ def verify_lebesgue(config: ExperimentConfig,
         T = tail_sum(psi, n)
         W = weighted_tail(psi, n)
         entry = {
+            "label": psi.label(),
             "s_vec": s_vec,
             "dt_hi": double_tail(psi, n).hi,
             "tw_hi": T.hi + W.hi,
@@ -214,7 +215,7 @@ def verify_lebesgue(config: ExperimentConfig,
                 ok_dual = bool(t2.contains_interval(
                     dual, slack=config.slack_scale * (1.0 + abs(t2.hi))))
             rows.append(BoundReport(
-                psi=psi.label(), beta=config.beta, n=n, phi_index=i,
+                psi=ent["label"], beta=config.beta, n=n, phi_index=i,
                 x=float(x), lhs=float(lhs[j]), E=E,
                 rhs_thm1=float(rhs1[j]), rhs_thm1_modified=float(rhs1m[j]),
                 thm2_lo=float(ent["thm2_lo"][j]),
@@ -285,6 +286,7 @@ def classical_lebesgue_check(config: ExperimentConfig,
     the tail-based rhs to the classical rhs is emitted as data, never
     asserted."""
     cells = _cells(config)
+    labels = [psi.label() for psi, _ in cells]
     xg = _x_grid(config)
     rows: list[ClassicalReport] = []
     for i in range(config.n_functions):
@@ -307,7 +309,7 @@ def classical_lebesgue_check(config: ExperimentConfig,
         for j, x in enumerate(xg):
             slack = config.slack_scale * (1.0 + lhs[j] + rhs_c[j])
             rows.append(ClassicalReport(
-                psi=psi.label(), beta=config.beta, n=n, phi_index=i,
+                psi=labels[ci], beta=config.beta, n=n, phi_index=i,
                 x=float(x), lhs=float(lhs[j]), E_uniform=Eu,
                 rhs_classical=float(rhs_c[j]), rhs_thm1=float(rhs1[j]),
                 ratio_thm1_classical=float(rat[j]),

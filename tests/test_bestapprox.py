@@ -1,5 +1,5 @@
-"""Best L1 approximation via the in-repo revised simplex and best uniform
-approximation via the reference exchange.
+"""Best L1 approximation via the in-repo long-step revised simplex and
+best uniform approximation via the reference exchange.
 
 The uniform tests pit the exchange against scipy's HiGHS on the same
 discretisation (a test-only import).
@@ -22,6 +22,7 @@ from psikern import (
     TrigPoly,
     best_l1,
     best_uniform,
+    bestapprox,
     oracle_best_l1,
     psi_integral,
 )
@@ -96,6 +97,70 @@ def test_l1_duals_certify_optimality():
     res = fv - r.argmin(t)
     active = np.abs(res) > 1e-9
     assert np.allclose(y[active], np.sign(res[active]), atol=1e-9)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_l1_dual_certificate_property(n):
+    """The returned y certifies optimality on seeded random inputs, both on
+    the default 64n grid and on a grid of 8n + k points."""
+    rng = np.random.default_rng([n, 4])
+    phi = _random_phi(rng, n)
+    shift = rng.standard_normal()
+    for M in (64 * n, 8 * n + int(rng.integers(0, 8 * n))):
+        r = best_l1(lambda t: phi(t) + shift, n, M)
+        t, Phi = _grid_design(n, M)
+        fv = phi(t) + shift
+        y = r.duals
+        s = float(np.sum(np.abs(fv - r.argmin(t))))
+        assert float(np.max(np.abs(y))) <= 1.0 + 1e-9
+        assert float(np.max(np.abs(Phi.T @ y))) \
+            <= 1e-9 * float(np.max(np.abs(fv))) * M
+        assert abs(float(fv @ y) - s) <= 1e-9 * s
+
+
+def test_l1_value_scales_with_data():
+    """Tolerances follow the scale of f: at 1e-30 the solver once switched
+    to Bland's rule and raised SolverStall."""
+    base = best_l1(lambda t: np.abs(np.sin(t)), 8).value
+    for c in (1e-30, 1.0, 1e6):
+        r = best_l1(lambda t, c=c: c * np.abs(np.sin(t)), 8)
+        assert r.value == pytest.approx(c * base, rel=1e-9)
+
+
+def test_l1_bland_short_steps_agree_with_long_steps(monkeypatch):
+    """Bland's rule from the first stalled pivot takes only short steps, an
+    independent pivot path to the same optimum."""
+    phi = _random_phi(np.random.default_rng([3, 4]), 4)
+    cases = [(phi, 4), (lambda t: np.abs(np.sin(t)), 3),
+             (lambda t: 1e-30 * np.abs(np.sin(t)), 3)]
+    long = [best_l1(f, n) for f, n in cases]
+    monkeypatch.setattr(bestapprox, "STALL_WINDOW", 0)
+    for (f, n), ref in zip(cases, long):
+        r = best_l1(f, n)
+        assert r.iterations > ref.iterations
+        assert r.value == pytest.approx(ref.value, rel=1e-12)
+
+
+def test_l1_long_step_pivot_count():
+    # the n=16 acceptance-corpus input; short-step pivoting took 708
+    n = 16
+    phi = _random_phi(np.random.default_rng([12345, 2]), n)
+    assert best_l1(phi, n).iterations <= 10 * (2 * n - 1)
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_l1_exact_fit_stops_at_roundoff(n):
+    """Residuals of an exact fit are roundoff, so the solve stops once it
+    reaches that floor, with y = 0 as the dual point."""
+    rng = np.random.default_rng([0, n])
+    p = TrigPoly(rng.standard_normal(), rng.standard_normal(n - 1),
+                 rng.standard_normal(n - 1))
+    r = best_l1(lambda t: p(t), n)
+    assert r.value <= 1e-9
+    assert r.iterations <= 10 * (2 * n - 1)
+    assert np.allclose(r.argmin.a, p.a, atol=1e-8)
+    assert np.allclose(r.argmin.b, p.b, atol=1e-8)
+    assert not np.any(r.duals)
 
 
 def test_uniform_residual_equioscillates():
