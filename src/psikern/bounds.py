@@ -6,6 +6,12 @@ Every quantity here carries the oscillation factor
 bracket constants are interval endpoints taken verbatim from the source
 estimates.  Certified tail sums enter through their upper ends wherever
 an upper bound is promised.
+
+The duality interval starts from the attained half-range of the truncated
+kernel tail, found on an FFT grid and refined by Newton polish, and is
+widened by three terms: the aliasing remainder (a double tail), the series
+truncation slack, and a certified bound on how far the polished extrema
+can fall short of the true ones, from branch and bound over grid cells.
 """
 
 from __future__ import annotations
@@ -35,9 +41,6 @@ XI3_RANGE = (-4.0 * (1.0 + 2.0 * PI), (8.0 / 3.0) * (1.0 + PI))
 XI4_RANGE = (-(1.0 + 2.0 * PI), 2.0 * (1.0 + PI))
 XI1_SUP_RANGE = (-4.0 * (1.0 + PI), (4.0 / 3.0) * (2.0 + PI))
 XI2_SUP_RANGE = (-(1.0 + PI), 2.0 + PI)
-
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True)
 class Interval:
@@ -210,33 +213,8 @@ def d0_bound(psi: PsiFamily, n: int, x: float, E: float,
 # duality route
 # ---------------------------------------------------------------------------
 
-
-def _golden_max_vec(evaluate, lo: np.ndarray, hi: np.ndarray,
-                    t_tol: float = 1e-12, max_iter: int = 200) -> np.ndarray:
-    """Vectorized golden-section maximization over stacked brackets.
-
-    evaluate(ts) -> values, elementwise over the stacked problems; each
-    bracket is assumed unimodal.  Returns the best value seen per problem.
-    """
-    lo = lo.astype(np.float64).copy()
-    hi = hi.astype(np.float64).copy()
-    x1 = hi - GOLDEN * (hi - lo)
-    x2 = lo + GOLDEN * (hi - lo)
-    f1 = evaluate(x1)
-    f2 = evaluate(x2)
-    for _ in range(max_iter):
-        if np.max(hi - lo) <= t_tol:
-            break
-        move_up = f1 < f2
-        lo = np.where(move_up, x1, lo)
-        hi = np.where(move_up, hi, x2)
-        span = hi - lo
-        nx1 = np.where(move_up, x2, hi - GOLDEN * span)
-        nx2 = np.where(move_up, lo + GOLDEN * span, x1)
-        fx = evaluate(np.where(move_up, nx2, nx1))
-        f1, f2 = np.where(move_up, f2, fx), np.where(move_up, fx, f1)
-        x1, x2 = nx1, nx2
-    return np.maximum(f1, f2)
+NEWTON_STEPS = 8    # polish steps per start point
+REFINE_DEPTH = 16   # bisections of one grid cell before its bound is kept
 
 
 def _tail_kernel_setup(psi: PsiFamily, n: int, rel_tol: float):
@@ -269,33 +247,118 @@ def _tail_kernel_setup(psi: PsiFamily, n: int, rel_tol: float):
             lo = mid + 1
     K = lo
     vals = cached[n - 1:K]
-    ks = np.arange(n, K + 1, dtype=np.float64)
+    ks = np.arange(n, K + 1)
     trunc = float(psi._tail_remainder(K))
     return ks, vals, trunc
+
+
+def _grid_profile(ks: np.ndarray, vals: np.ndarray, M: int) -> np.ndarray:
+    """A + iB = sum_k psi(k) e^{ik t_j} at the grid points t_j = 2 pi j / M.
+
+    e^{ik t_j} depends on k only mod M, so the kernel folds into M bins
+    and one inverse FFT gives every grid value in O(K + M log M), for any
+    K, K > M included.
+    """
+    folded = np.bincount(ks % M, weights=vals, minlength=M)
+    return M * np.fft.ifft(folded)
+
+
+def _trig_sums(ts: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """sum_j weights[m, j] e^{i(n+j)t} for every row m and every t in ts,
+    shape (rows, len(ts)).
+
+    Baby-step giant-step: with k = n + aB + b and 0 <= b < B ~ sqrt(K),
+    e^{ikt} = e^{i(n+aB)t} e^{ibt}, so the len(ts) x K phase table becomes
+    two tables of about sqrt(K) columns and one matrix product.
+    """
+    rows, K = weights.shape
+    B = math.isqrt(K - 1) + 1
+    L = -(-K // B)
+    padded = np.zeros((rows, L * B))
+    padded[:, :K] = weights
+    # column (m, a) holds the weights of k = n + aB + b, b = 0..B-1
+    blocks = padded.reshape(rows, L, B).transpose(2, 0, 1).reshape(B, rows * L)
+    baby = np.exp(1j * np.outer(ts, np.arange(B)))
+    giant = np.exp(1j * np.outer(ts, n + B * np.arange(L)))
+    inner = (baby @ blocks).reshape(len(ts), rows, L)
+    return np.einsum("trl,tl->rt", inner, giant)
+
+
+def _evaluate(ts, rot, W, n):
+    """sigma g, sigma g' and sigma g'' at ts, where rot = sigma e^{i gamma}
+    and W holds the weights psi(k), k psi(k), k^2 psi(k)."""
+    Z = _trig_sums(ts, W, n)
+    return (rot * Z[0]).real, -(rot * Z[1]).imag, -(rot * Z[2]).real
+
+
+def _polish(t0, rot, w, W, n, tol):
+    """Newton steps on sigma g' = 0 from t0, each step clamped to +-w/2 and
+    the point to [t0 - w, t0 + w]; where sigma g'' >= 0 the step is w/2
+    uphill.  Stops once every point meets g'^2 <= tol |g''| with g'' of
+    the right sign, or after NEWTON_STEPS steps.  Returns the last point
+    with sigma g, sigma g', sigma g'' there, and the best value seen.
+    """
+    t = t0
+    seen = np.full(len(t0), -np.inf)
+    for step in range(NEWTON_STEPS + 1):
+        f, d1, d2 = _evaluate(t, rot, W, n)
+        seen = np.maximum(seen, f)
+        if step == NEWTON_STEPS or np.all((d2 < 0.0) & (d1 * d1 <= -tol * d2)):
+            return t, f, d1, d2, seen
+        with np.errstate(divide="ignore", invalid="ignore"):
+            move = np.where(d2 < 0.0, -d1 / d2, np.sign(d1) * w)
+        t = np.clip(t + np.clip(move, -0.5 * w, 0.5 * w), t0 - w, t0 + w)
+
+
+def _covered(p, a, w, centers, radii):
+    """Whether each cell [a, a + w] of problem p lies inside one of that
+    problem's certified basins [centers - radii, centers + radii] (mod 2 pi);
+    unused basin slots have radius -1."""
+    inside = np.zeros(len(p), dtype=bool)
+    for c, r in zip(centers.T, radii.T):
+        d = (a - c[p] + PI) % (2.0 * PI) - PI
+        inside |= (d >= -r[p]) & (d + w <= r[p])
+    return inside
 
 
 def duality_sup(psi: PsiFamily, beta: float, n: int, x: float,
                 M: int | None = None, rel_tol: float = 1e-12) -> Interval:
     """Numerically exact class sup at x via the duality formula: half the
     range of the kernel tail g(t) = sum_{k>=n} psi(k) cos(kt + gamma_n),
-    scaled by (2/pi)|sin((2n-1)x/2)|.
-
-    Coarse M-grid extremes (M >= 16n, default max(16n, 256)) are refined
-    by golden-section polish; the interval half-width rbound stacks the
-    aliasing remainder (double tail without its leading block) and the
-    series truncation slack.
+    scaled by (2/pi)|sin((2n-1)x/2)|.  See duality_sup_batch for the
+    method and the three terms of the interval.
     """
-    ivs = duality_sup_batch(psi, beta, n, [x], M, rel_tol)
-    return ivs[0]
+    return duality_sup_batch(psi, beta, n, [x], M, rel_tol)[0]
 
 
 def duality_sup_batch(psi: PsiFamily, beta: float, n: int, xs,
                       M: int | None = None,
                       rel_tol: float = 1e-12) -> list[Interval]:
-    """duality_sup over many x sharing the kernel tables for one (psi, n).
+    """duality_sup at every x in xs, sharing the kernel work for one (psi, n).
 
-    The phase gamma_n mixes the same two profiles A(t) = sum psi(k)cos(kt)
-    and B(t) = sum psi(k)sin(kt) for every x, so the grid work is done once.
+    g is truncated to g_K = sum_{k=n}^{K} psi(k) cos(kt + gamma_n).  The
+    phase mixes the same two profiles A(t) = sum psi(k) cos(kt) and
+    B(t) = sum psi(k) sin(kt) for every x; both come from one FFT on the
+    M-point grid (M >= 16n, default max(16n, 256)).  For each x, the max
+    of g_K and the max of -g_K are found the same way:
+
+    - polish: Newton steps on g' = 0 from every grid local maximum whose
+      cells could beat the grid maximum (see _polish);
+    - grid-miss bound, by branch and bound over the grid cells: a cell of
+      width w is bounded by its larger endpoint value + w^2/8 * S2, with
+      S2 = sum_{k=n}^{K} k^2 psi(k).  A polished point with g'' < 0
+      certifies g_K <= g_K(t) + g'(t)^2/|g''(t)| within
+      1.5|g''(t)|/S3 of it, S3 = sum_{k=n}^{K} k^3 psi(k).  Cells that
+      could still beat the best attained value by more than
+      rel_tol * sum psi(k) and lie in no such basin are bisected, at most
+      REFINE_DEPTH times; a cell left at the cap keeps its bound.
+
+    The lower end of each interval is the attained half-range (the best
+    polished or grid value on each side) less rbound; the upper end adds
+    rbound and the grid-miss bound.  rbound stacks the aliasing remainder
+    (double tail without its leading block) and the series truncation
+    slack.  Floating-point rounding in the kernel sums (about 1e-15 of
+    sum psi(k)) is not counted.
     """
     if M is None:
         M = max(16 * n, 256)
@@ -303,44 +366,62 @@ def duality_sup_batch(psi: PsiFamily, beta: float, n: int, xs,
         raise ValueError("duality grid must have at least 16n points")
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     ks, vals, trunc = _tail_kernel_setup(psi, n, rel_tol)
-    t = 2.0 * PI * np.arange(M) / M
-    CK = np.cos(np.outer(t, ks))
-    SK = np.sin(np.outer(t, ks))
-    A = CK @ vals
-    B = SK @ vals
-    gammas = ((2 * n - 1) * xs + PI * (beta - 1.0)) / 2.0
-    cg = np.cos(gammas)
-    sg = np.sin(gammas)
-    G = np.outer(cg, A) - np.outer(sg, B)      # one kernel profile per x
-    imax = np.argmax(G, axis=1)
-    imin = np.argmin(G, axis=1)
+    W = np.stack([vals, ks * vals, ks * (ks * vals)])
+    curv = float(np.sum(W[2])) / 8.0
+    S3 = float(ks @ W[2])
+    tol = rel_tol * float(np.sum(vals))
     h = 2.0 * PI / M
-    # stack the 2*len(xs) polish problems: maximize sigma * g_x near each
-    # grid extremum
-    centers = np.concatenate([t[imax], t[imin]])
-    sig = np.concatenate([np.ones(len(xs)), -np.ones(len(xs))])
-    cg2 = np.concatenate([cg, cg])
-    sg2 = np.concatenate([sg, sg])
+    t = h * np.arange(M)
+    gammas = ((2 * n - 1) * xs + PI * (beta - 1.0)) / 2.0
+    # one problem per (side, x): maximize sigma g_x, sigma = +1 then -1
+    phase = np.exp(1j * gammas)
+    rot = np.concatenate([phase, -phase])
+    V = np.outer(rot, _grid_profile(ks, vals, M)).real
+    best = V.max(axis=1)
 
-    def evaluate(ts):
-        CT = np.cos(np.outer(ts, ks)) @ vals
-        ST = np.sin(np.outer(ts, ks)) @ vals
-        return sig * (cg2 * CT - sg2 * ST)
+    right = np.roll(V, -1, axis=1)
+    p, j = np.nonzero((V >= np.roll(V, 1, axis=1)) & (V >= right)
+                      & (V + curv * h * h > best[:, None] + tol))
+    tp, f, d1, d2, seen = _polish(t[j], rot[p], h, W, n, tol)
+    np.maximum.at(best, p, seen)
+    # basins, one slot per start of each problem (p is sorted)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        certified = (d2 < 0.0) & (f - d1 * d1 / d2 <= best[p] + tol)
+    slot = np.arange(len(p)) - np.searchsorted(p, p)
+    slots = int(slot.max()) + 1 if len(p) else 0
+    centers = np.zeros((len(rot), slots))
+    radii = np.full((len(rot), slots), -1.0)
+    centers[p, slot] = tp
+    radii[p[certified], slot[certified]] = -1.5 * d2[certified] / S3
 
-    polished = _golden_max_vec(evaluate, centers - h, centers + h)
-    base = np.concatenate([G[np.arange(len(xs)), imax],
-                           -G[np.arange(len(xs)), imin]])
-    best = np.maximum(polished, base)
-    gmax = best[: len(xs)]
-    gmin = -best[len(xs):]
-    main = 0.5 * (gmax - gmin)
+    # branch and bound; every cell dropped below is bounded by best + tol
+    cp, j = np.nonzero(np.maximum(V, right) + curv * h * h > best[:, None] + tol)
+    a, fa, fb, w = t[j], V[cp, j], right[cp, j], h
+    for depth in range(REFINE_DEPTH + 1):
+        U = np.maximum(fa, fb) + curv * w * w
+        keep = (U > best[cp] + tol) & ~_covered(cp, a, w, centers, radii)
+        cp, a, fa, fb, U = cp[keep], a[keep], fa[keep], fb[keep], U[keep]
+        if depth == REFINE_DEPTH or not len(cp):
+            break
+        w *= 0.5
+        fm = _evaluate(a + w, rot[cp], W, n)[0]
+        np.maximum.at(best, cp, fm)
+        cp, a = np.concatenate([cp, cp]), np.concatenate([a, a + w])
+        fa, fb = np.concatenate([fa, fm]), np.concatenate([fm, fb])
+    miss = np.full(len(rot), tol)
+    np.maximum.at(miss, cp, U - best[cp])
+
+    nx = len(xs)
+    main = 0.5 * (best[:nx] + best[nx:])
+    miss = 0.5 * (miss[:nx] + miss[nx:])
     # any certification level gives a valid upper end here; demanding the
     # kernel's rel_tol from slow majorants would explode the term budget
     # for heavy-tailed families, so cap at the family's feasible default
     rb_tol = max(rel_tol, psi.default_rel_tol)
     rbound = double_tail(psi, n, rb_tol, k_start=1).hi + trunc
     out = []
-    for x, m in zip(xs, main):
+    for x, m, d in zip(xs, main, miss):
         s = sine_factor(n, float(x))
-        out.append(Interval(float(s * (m - rbound)), float(s * (m + rbound))))
+        out.append(Interval(float(s * (m - rbound)),
+                            float(s * (m + rbound + d))))
     return out

@@ -3,24 +3,33 @@
 DUALITY_GEO_ORACLE is an mpmath (dps 30) evaluation of the extremal
 oscillation (gmax - gmin)/2 for the geometric kernel tail at n = 3,
 x = pi/5, beta = 0.25, scaled by (2/pi)|sin((2n-1)x/2)|.
+
+The duality checks at the end compare against independent slow routes:
+dense cos/sin tables for the folded-FFT grid and the polish sums, a
+closed-form Newton iteration for a two-term kernel, and a brute-force
+2^16-point grid for random short tables.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psikern import (
     GenPoisson,
     Geometric,
     Interval,
     Power,
+    Tabulated,
     d0_bound,
     dq_bound,
     duality_sup,
     duality_sup_batch,
     gamma_phase,
     poisson_bounds,
+    psi_from_dict,
     sine_factor,
     thm1_rhs,
     thm1_rhs_modified,
@@ -29,6 +38,7 @@ from psikern import (
     tail_sum,
     weighted_tail,
 )
+from psikern.bounds import _evaluate, _grid_profile, _tail_kernel_setup
 from psikern.errors import HypothesisUnmet
 
 DUALITY_GEO_ORACLE = 0.135249244610419152
@@ -191,3 +201,122 @@ def test_duality_at_node_is_zero_interval():
     node = 2 * math.pi / (2 * n - 1)
     iv = duality_sup(psi, 0.0, n, node)
     assert abs(iv.lo) < 1e-12 and abs(iv.hi) < 1e-12
+
+
+SWEEP_FAMILIES = (
+    {"kind": "geometric", "q": 0.5},
+    {"kind": "gen_poisson", "alpha": 1.0, "r": 0.5},
+    {"kind": "neumann", "q": 0.5},
+    {"kind": "even_odd", "q1": 0.9, "q2": 0.5},
+)
+
+
+def test_duality_grid_fft_matches_dense_tables():
+    longer_than_grid = 0
+    for spec in SWEEP_FAMILIES:
+        psi = psi_from_dict(dict(spec))
+        for n in (2, 16, 64):
+            ks, vals, _ = _tail_kernel_setup(psi, n, 1e-12)
+            M = max(16 * n, 256)
+            longer_than_grid += len(ks) > M
+            t = 2 * math.pi * np.arange(M) / M
+            Z = _grid_profile(ks, vals, M)
+            tol = 1e-13 * float(np.sum(vals))
+            assert np.max(np.abs(Z.real - np.cos(np.outer(t, ks)) @ vals)) <= tol
+            assert np.max(np.abs(Z.imag - np.sin(np.outer(t, ks)) @ vals)) <= tol
+    assert longer_than_grid > 0  # K > M folds several k into one bin
+
+
+def test_duality_polish_sums_match_dense_tables():
+    rng = np.random.default_rng(7)
+    for spec in SWEEP_FAMILIES:
+        psi = psi_from_dict(dict(spec))
+        for n in (2, 16, 64):
+            ks, vals, _ = _tail_kernel_setup(psi, n, 1e-12)
+            ts = rng.uniform(-0.1, 2 * math.pi + 0.1, 40)
+            gam = rng.uniform(0.0, 2 * math.pi, 40)
+            sig = rng.choice([-1.0, 1.0], 40)
+            W = np.stack([vals, ks * vals, ks * (ks * vals)])
+            f, d1, d2 = _evaluate(ts, sig * np.exp(1j * gam), W, n)
+            ph = np.outer(ts, ks) + gam[:, None]
+            S = [float(np.sum(w)) for w in W]
+            assert np.max(np.abs(f - sig * (np.cos(ph) @ vals))) <= 1e-13 * S[0]
+            assert np.max(np.abs(d1 + sig * (np.sin(ph) @ W[1]))) <= 1e-13 * S[1]
+            assert np.max(np.abs(d2 + sig * (np.cos(ph) @ W[2]))) <= 1e-13 * S[2]
+
+
+def test_duality_finds_the_higher_of_two_near_equal_peaks():
+    """g = cos(2t + gamma) + 1e-4 cos(3t + gamma) has two maxima of nearly
+    equal height; polishing only the grid argmax settles on the lower one,
+    1.1e-6 below the true sup."""
+    n, x = 2, 1.0617128210050935
+    gam = gamma_phase(n, x, 0.0).gamma_n
+
+    def g(t, m):  # m-th derivative of g
+        return sum(c * k ** m * np.cos(k * t + gam + m * math.pi / 2)
+                   for k, c in ((2, 1.0), (3, 1e-4)))
+
+    t = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+    for _ in range(40):  # Newton from every start reaches a critical point
+        t = t - g(t, 1) / g(t, 2)
+    truth = sine_factor(n, x) * 0.5 * (np.max(g(t, 0)) - np.min(g(t, 0)))
+    assert truth >= 0.6365010521174852 - 1e-15
+    iv = duality_sup(Tabulated([0.0, 1.0, 1e-4]), 0.0, n, x)
+    assert iv.contains(truth, slack=1e-15)
+    assert iv.width < 1e-10
+
+
+def _brute_enclosure(psi, beta, n, x, K, points):
+    """Enclosure of (2/pi)|sin((2n-1)x/2)| times the half-range of
+    g_K(t) = sum_{k=n}^{K} psi(k) cos(kt + gamma): the half-range on a
+    uniform grid, and that plus h^2/8 sum k^2 psi(k), from dense tables."""
+    ks = np.arange(n, K + 1, dtype=np.float64)
+    vals = np.array([psi.value(int(k)) for k in ks])
+    gam = gamma_phase(n, x, beta).gamma_n
+    t = 2 * math.pi * np.arange(points) / points
+    g = np.concatenate([np.cos(np.outer(c, ks) + gam) @ vals
+                        for c in np.array_split(t, max(1, points // 2048))])
+    s = sine_factor(n, x)
+    lo = s * 0.5 * (np.max(g) - np.min(g))
+    return lo, lo + s * (2 * math.pi / points) ** 2 / 8 * float(ks ** 2 @ vals)
+
+
+def _check_against_brute(iv, lo, hi, eps):
+    """The interval meets the brute-force enclosure, and its midpoint (the
+    attained half-range plus half the grid-miss term) lies inside it."""
+    assert iv.hi >= lo - eps and iv.lo <= hi + eps
+    assert lo - eps <= iv.mid <= hi + eps
+
+
+@given(n=st.integers(1, 8), x=st.floats(0.0, 2 * math.pi),
+       beta=st.floats(0.0, 2.0), data=st.data())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_duality_short_tables_against_brute_force(n, x, beta, data):
+    # support below 3n - 1: no aliasing remainder and no truncation, so
+    # the interval is the attained half-range plus the grid-miss term
+    table = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n,
+                               max_size=3 * n - 2))
+    psi = Tabulated(table)
+    iv = duality_sup(psi, beta, n, x, M=16 * n)
+    lo, hi = _brute_enclosure(psi, beta, n, x, len(table), 2 ** 16)
+    total = float(np.sum(table))
+    _check_against_brute(iv, lo, hi, 1e-14 * (1.0 + total))
+    assert iv.width <= 1e-10 * total
+
+
+@pytest.mark.parametrize("spec,n,x,K", [
+    # psi(1600) = exp(-40) and 0.9^400 = 5e-19: the dropped tails are far
+    # below the check's slack
+    ({"kind": "gen_poisson", "alpha": 1.0, "r": 0.5}, 3, 0.7, 1600),
+    # the grid argmax sits on the lower of two peaks, 3.5% below the sup
+    ({"kind": "even_odd", "q1": 0.9, "q2": 0.5}, 23,
+     0.013 + 17 * math.pi / 32, 400),
+], ids=["gen_poisson", "even_odd"])
+def test_duality_minimum_grid_against_brute_force(spec, n, x, K):
+    psi = psi_from_dict(dict(spec))
+    iv = duality_sup(psi, 0.0, n, x, M=16 * n)
+    lo, hi = _brute_enclosure(psi, 0.0, n, x, K, 2 ** 13)
+    _check_against_brute(iv, lo, hi, 1e-9 * tail_sum(psi, n).value)
+    fine = duality_sup(psi, 0.0, n, x, M=4096)
+    assert iv.lo == pytest.approx(fine.lo, rel=1e-12)
+    assert iv.hi == pytest.approx(fine.hi, rel=1e-12)
