@@ -96,7 +96,8 @@ def _l1_revised(Phi: np.ndarray, fv: np.ndarray,
     into a small block of coefficient columns (rows P) and one residual
     per remaining row; every basis solve is then p x p with p <= d.
     Variable codes: j in [0, 2d) are the split coefficients (+Phi_j then
-    -Phi_j), 2d+i is u_i, 2d+M+i is v_i.  Returns (c, duals, iterations).
+    -Phi_j), 2d+i is u_i, 2d+M+i is v_i.  Returns (c, duals, iterations,
+    sum |f - Phi c|).
 
     Dantzig pivots take the Barrodale-Roberts long step.  Along the
     entering ray the objective is convex piecewise linear: a basic u_i
@@ -110,7 +111,10 @@ def _l1_revised(Phi: np.ndarray, fv: np.ndarray,
     An exact fit ends with every residual at roundoff, where their signs
     are noise and pivots would wander among them.  Once sum|r| is below
     1e-13 M max|f| and a pivot no longer lowers it, the loop stops and
-    returns y = 0, the dual point that certifies E >= 0.  A column priced
+    returns y = 0, the dual point that certifies E >= 0.  That stop judges
+    the objective from the basis block, which an ill-conditioned block can
+    get wrong, so unless the returned c itself leaves sum|r| at the floor
+    it raises SolverStall instead of returning a wrong value.  A column priced
     negative with no pivot above PIVOT_TOL is priced by roundoff, so the
     next candidate enters instead.
     """
@@ -122,7 +126,7 @@ def _l1_revised(Phi: np.ndarray, fv: np.ndarray,
     fscale = float(np.max(np.abs(fv)))
     obj_floor = 1e-13 * M * fscale              # roundoff level of sum|r|
 
-    bland = False
+    bland = exact = False
     since_improve = 0
     prev_obj = math.inf
     for it in range(max_iter):
@@ -169,7 +173,7 @@ def _l1_revised(Phi: np.ndarray, fv: np.ndarray,
         if obj < prev_obj - 1e-15 * (fscale + abs(prev_obj)):
             since_improve = 0
         elif obj <= obj_floor:                  # exact to roundoff, see above
-            y = np.zeros(M)
+            y, exact = np.zeros(M), True
             break
         else:
             since_improve += 1
@@ -215,7 +219,11 @@ def _l1_revised(Phi: np.ndarray, fv: np.ndarray,
             iterations=max_iter)
     c = np.zeros(d)
     c[col] = sgn * _block_solve(A_P, fv[P], it)
-    return c, y, it
+    l1 = float(np.sum(np.abs(fv - Phi @ c)))
+    if exact and l1 > obj_floor:
+        raise SolverStall(f"exact-fit stop left sum|r| = {l1:.3g} above the "
+                          f"roundoff floor {obj_floor:.3g}", iterations=it)
+    return c, y, it, l1
 
 
 def best_l1(f, n: int, M: int | None = None) -> ApproxResult:
@@ -231,10 +239,9 @@ def best_l1(f, n: int, M: int | None = None) -> ApproxResult:
     fv = _sample(f, t)
     d = 2 * n - 1
     Phi = _design(n, t)
-    c, duals, iters = _l1_revised(Phi, fv, max_iter=50 * (M + d))
-    poly = _coeff_poly(n, c)
-    value = 2.0 * math.pi / M * float(np.sum(np.abs(fv - Phi @ c)))
-    return ApproxResult(value, poly, M, "L1", duals, iters)
+    c, duals, iters, l1 = _l1_revised(Phi, fv, max_iter=50 * (M + d))
+    return ApproxResult(2.0 * math.pi / M * l1, _coeff_poly(n, c), M, "L1",
+                        duals, iters)
 
 
 def best_uniform(f, n: int, M: int | None = None) -> ApproxResult:

@@ -2,8 +2,12 @@
 
 Generates seeded test functions, pushes them through the smoothing
 operator, interpolates on the 2n-1 equidistant nodes, and checks the
-pointwise deviation against every computable right-hand side.  Reports
-are deterministic: a fixed seed reproduces the CSV byte for byte.
+pointwise deviation against every computable right-hand side.
+
+Each function's rows are computed as numpy columns over the x grid, and
+the columns become the returned rows (NamedTuples, so `._asdict()` gives
+a dict) and the CSV, one block of text per function.  Reports are
+deterministic: a fixed seed reproduces the CSV byte for byte.
 """
 
 from __future__ import annotations
@@ -12,18 +16,13 @@ import csv
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .bestapprox import best_l1, best_uniform
-from .bounds import (
-    Interval,
-    duality_sup,
-    duality_sup_batch,
-    sine_factor,
-    thm2_sup_bracket,
-)
+from .bounds import duality_sup, duality_sup_batch, sine_factor
 from .errors import TrendViolation
 from .interp import interpolate, lebesgue_fn, nodes
 from .psi import (
@@ -85,8 +84,7 @@ class ExperimentConfig:
         return out
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """One (test function, x) row.
 
     lhs and the thm1 columns scale with E_n (the best L1 approximation of
@@ -111,8 +109,7 @@ class BoundReport:
     ok_dual_in_thm2: bool | None
 
 
-@dataclass(frozen=True)
-class SharpnessRow:
+class SharpnessRow(NamedTuple):
     psi: str
     n: int
     x: float
@@ -123,8 +120,7 @@ class SharpnessRow:
     limit_ratio: float
 
 
-@dataclass(frozen=True)
-class ClassicalReport:
+class ClassicalReport(NamedTuple):
     psi: str
     beta: float
     n: int
@@ -159,6 +155,18 @@ def _cells(config: ExperimentConfig) -> list[tuple[PsiFamily, int]]:
     return [(f, int(n)) for f in fams for n in config.n_list]
 
 
+def _corpus(config: ExperimentConfig, cells: list):
+    """Yield (cell index, i, psi, n, phi, f) for each test function i:
+    round robin over the cells, phi from default_rng([seed, i]) and f its
+    image under the smoothing operator."""
+    for i in range(config.n_functions):
+        ci = i % len(cells)
+        psi, n = cells[ci]
+        phi = _random_phi(np.random.default_rng([config.seed, i]), n)
+        f = psi_integral(KernelSpec(psi, config.beta), phi)
+        yield ci, i, psi, n, phi, f
+
+
 def _x_grid(config: ExperimentConfig) -> np.ndarray:
     return 2.0 * PI * np.arange(config.x_grid) / config.x_grid
 
@@ -172,64 +180,45 @@ def verify_lebesgue(config: ExperimentConfig,
     slack slack_scale * (1 + |lhs| + |rhs|)."""
     cells = _cells(config)
     xg = _x_grid(config)
-    cache: dict[int, dict] = {}
-    for ci, (psi, n) in enumerate(cells):
+    ents = []
+    for psi, n in cells:
         s_vec = 2.0 / PI * np.abs(np.sin((2 * n - 1) * xg / 2.0))
         T = tail_sum(psi, n)
         W = weighted_tail(psi, n)
-        entry = {
-            "label": psi.label(),
-            "s_vec": s_vec,
-            "dt_hi": double_tail(psi, n).hi,
-            "tw_hi": T.hi + W.hi,
-            "thm2_lo": s_vec * (T.value - (1.0 + PI) * W.hi),
-            "thm2_hi": s_vec * (T.hi + W.hi),
-            "xk": nodes(n).nodes,
-            "dual": None,
-        }
+        thm2_lo = s_vec * (T.value - (1.0 + PI) * W.hi)
+        thm2_hi = s_vec * (T.hi + W.hi)
+        s_dt = s_vec * double_tail(psi, n).hi
+        dual_lo = dual_hi = ok_dual = None
         if config.with_duality:
-            entry["dual"] = duality_sup_batch(psi, config.beta, n, xg,
-                                              config.duality_grid)
-        cache[ci] = entry
+            dual = duality_sup_batch(psi, config.beta, n, xg,
+                                     config.duality_grid)
+            dual_lo = np.array([iv.lo for iv in dual])
+            dual_hi = np.array([iv.hi for iv in dual])
+            slack = config.slack_scale * (1.0 + np.abs(thm2_hi))
+            ok_dual = ((thm2_lo - slack <= dual_lo)
+                       & (dual_hi <= thm2_hi + slack))
+        # the cell's columns; the function's are filled in per block
+        cell = BoundReport(psi.label(), config.beta, n, None, xg, None, None,
+                           None, None, thm2_lo, thm2_hi, dual_lo, dual_hi,
+                           None, ok_dual)
+        ents.append((cell, s_dt, nodes(n).nodes))
 
-    rows: list[BoundReport] = []
-    for i in range(config.n_functions):
-        ci = i % len(cells)
-        psi, n = cells[ci]
-        ent = cache[ci]
-        rng = np.random.default_rng([config.seed, i])
-        phi = _random_phi(rng, n)
-        spec = KernelSpec(psi, config.beta)
-        f = psi_integral(spec, phi)
+    blocks = []
+    for ci, i, psi, n, phi, f in _corpus(config, cells):
+        cell, s_dt, xk = ents[ci]
         E = best_l1(phi, n, config.solver_grid).value
-        p = interpolate(f(ent["xk"]), n)
+        p = interpolate(f(xk), n)
         lhs = np.abs(f(xg) - p(xg))
-        rhs1 = ent["s_vec"] * ent["dt_hi"] * E
-        rhs1m = ent["s_vec"] * ent["tw_hi"] * E
-        for j, x in enumerate(xg):
-            slack = config.slack_scale * (1.0 + lhs[j] + rhs1[j])
-            dual = ent["dual"][j] if ent["dual"] is not None else None
-            ok_dual = None
-            if dual is not None:
-                t2 = Interval(ent["thm2_lo"][j], ent["thm2_hi"][j])
-                ok_dual = bool(t2.contains_interval(
-                    dual, slack=config.slack_scale * (1.0 + abs(t2.hi))))
-            rows.append(BoundReport(
-                psi=ent["label"], beta=config.beta, n=n, phi_index=i,
-                x=float(x), lhs=float(lhs[j]), E=E,
-                rhs_thm1=float(rhs1[j]), rhs_thm1_modified=float(rhs1m[j]),
-                thm2_lo=float(ent["thm2_lo"][j]),
-                thm2_hi=float(ent["thm2_hi"][j]),
-                dual_lo=None if dual is None else dual.lo,
-                dual_hi=None if dual is None else dual.hi,
-                ok_thm1=bool(lhs[j] <= rhs1[j] + slack),
-                ok_dual_in_thm2=ok_dual))
+        rhs1 = s_dt * E
+        blocks.append(cell._replace(
+            phi_index=i, lhs=lhs, E=E, rhs_thm1=rhs1,
+            rhs_thm1_modified=cell.thm2_hi * E,
+            ok_thm1=lhs <= rhs1 + config.slack_scale * (1.0 + lhs + rhs1)))
 
-    rows.sort(key=lambda r: (r.psi, r.n, r.phi_index, r.x))
-    summary = _summarize(rows, lhs_of=lambda r: r.lhs,
-                         rhs_of=lambda r: r.rhs_thm1,
-                         ok_of=lambda r: r.ok_thm1)
-    _emit(rows, summary, out_csv, out_json)
+    blocks.sort(key=lambda b: (b.psi, b.n, b.phi_index))
+    summary = _summarize([b.lhs for b in blocks], [b.rhs_thm1 for b in blocks],
+                         [b.ok_thm1 for b in blocks])
+    rows = _emit(blocks, summary, out_csv, out_json)
     if plot_script is not None and out_csv is not None:
         _write_plot_script(plot_script, out_csv,
                            xcol=5, ycols=(6, 8), names=("lhs", "rhs_thm1"))
@@ -245,7 +234,7 @@ def sharpness_probe(config: ExperimentConfig,
 
     Raises TrendViolation the moment a ratio leaves its envelope (beyond
     the certified numeric slack)."""
-    rows: list[SharpnessRow] = []
+    blocks = []
     for spec in config.psi_specs:
         psi = psi_from_dict(dict(spec))
         for n in config.n_list:
@@ -264,18 +253,12 @@ def sharpness_probe(config: ExperimentConfig,
                 raise TrendViolation(
                     f"{psi.label()} n={n}: ratio {ratio:.6f} outside "
                     f"[{env_lo:.6f}, {env_hi:.6f}] (slack {eps:.2e})")
-            rows.append(SharpnessRow(
-                psi=psi.label(), n=n, x=x, ratio=ratio,
-                env_lo=env_lo, env_hi=env_hi,
-                gap_to_one=abs(ratio - 1.0), limit_ratio=lr))
-    rows.sort(key=lambda r: (r.psi, r.n))
-    summary = {
-        "pass": len(rows),
-        "fail": 0,
-        "worst_ratio": max((r.gap_to_one for r in rows), default=0.0),
-    }
-    _emit(rows, summary, out_csv, out_json)
-    return rows, summary
+            blocks.append(SharpnessRow(psi.label(), n, x, ratio, env_lo,
+                                       env_hi, abs(ratio - 1.0), lr))
+    blocks.sort(key=lambda r: (r.psi, r.n))
+    summary = {"pass": len(blocks), "fail": 0, "worst_ratio": max(
+        (r.gap_to_one for r in blocks), default=0.0)}
+    return _emit(blocks, summary, out_csv, out_json), summary
 
 
 def classical_lebesgue_check(config: ExperimentConfig,
@@ -288,38 +271,25 @@ def classical_lebesgue_check(config: ExperimentConfig,
     cells = _cells(config)
     labels = [psi.label() for psi, _ in cells]
     xg = _x_grid(config)
-    rows: list[ClassicalReport] = []
-    for i in range(config.n_functions):
-        ci = i % len(cells)
-        psi, n = cells[ci]
-        rng = np.random.default_rng([config.seed, i])
-        phi = _random_phi(rng, n)
-        spec = KernelSpec(psi, config.beta)
-        f = psi_integral(spec, phi)
+    blocks = []
+    for ci, i, psi, n, phi, f in _corpus(config, cells):
         Eu = best_uniform(f, n, config.solver_grid).value
         El = best_l1(phi, n, config.solver_grid).value
         p = interpolate(f(nodes(n).nodes), n)
         lhs = np.abs(f(xg) - p(xg))
-        Lx = lebesgue_fn(n, xg)
-        rhs_c = (1.0 + Lx) * Eu
+        rhs_c = (1.0 + lebesgue_fn(n, xg)) * Eu
         s_vec = 2.0 / PI * np.abs(np.sin((2 * n - 1) * xg / 2.0))
         rhs1 = s_vec * double_tail(psi, n).hi * El
         with np.errstate(divide="ignore", invalid="ignore"):
             rat = np.where(rhs_c > 0.0, rhs1 / rhs_c, np.nan)
-        for j, x in enumerate(xg):
-            slack = config.slack_scale * (1.0 + lhs[j] + rhs_c[j])
-            rows.append(ClassicalReport(
-                psi=labels[ci], beta=config.beta, n=n, phi_index=i,
-                x=float(x), lhs=float(lhs[j]), E_uniform=Eu,
-                rhs_classical=float(rhs_c[j]), rhs_thm1=float(rhs1[j]),
-                ratio_thm1_classical=float(rat[j]),
-                ok=bool(lhs[j] <= rhs_c[j] + slack)))
-    rows.sort(key=lambda r: (r.psi, r.n, r.phi_index, r.x))
-    summary = _summarize(rows, lhs_of=lambda r: r.lhs,
-                         rhs_of=lambda r: r.rhs_classical,
-                         ok_of=lambda r: r.ok)
-    _emit(rows, summary, out_csv, out_json)
-    return rows, summary
+        ok = lhs <= rhs_c + config.slack_scale * (1.0 + lhs + rhs_c)
+        blocks.append(ClassicalReport(labels[ci], config.beta, n, i, xg, lhs,
+                                      Eu, rhs_c, rhs1, rat, ok))
+    blocks.sort(key=lambda b: (b.psi, b.n, b.phi_index))
+    summary = _summarize([b.lhs for b in blocks],
+                         [b.rhs_classical for b in blocks],
+                         [b.ok for b in blocks])
+    return _emit(blocks, summary, out_csv, out_json), summary
 
 
 # ---------------------------------------------------------------------------
@@ -327,45 +297,73 @@ def classical_lebesgue_check(config: ExperimentConfig,
 # ---------------------------------------------------------------------------
 
 
-def _summarize(rows, lhs_of, rhs_of, ok_of) -> dict:
-    n_fail = sum(1 for r in rows if not ok_of(r))
-    worst = 0.0
-    for r in rows:
-        rhs = rhs_of(r)
-        if rhs > 0.0:
-            worst = max(worst, lhs_of(r) / rhs)
-    return {"pass": len(rows) - n_fail, "fail": n_fail, "worst_ratio": worst}
+def _summarize(lhs: list, rhs: list, ok: list) -> dict:
+    """pass/fail counts and the worst lhs/rhs over rows with rhs > 0, from
+    per-block columns of equal length."""
+    lhs, rhs, ok = np.ravel(lhs), np.ravel(rhs), np.ravel(ok)
+    n_fail = ok.size - int(np.count_nonzero(ok))
+    pos = rhs > 0.0
+    r = lhs[pos] / rhs[pos]
+    return {"pass": ok.size - n_fail, "fail": n_fail,
+            "worst_ratio": float(np.max(r, initial=0.0, where=~np.isnan(r)))}
 
 
-def _fmt(v) -> str:
+class _Line(list):
+    """csv.writer target that keeps each line it is given."""
+    write = list.append
+
+
+def _text(v):
+    """CSV text of a column (a list of str) or of one value: repr for
+    floats, 1/0 for bools, empty for None, str for ints, and strings
+    quoted by the csv module's rules."""
     if v is None:
         return ""
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+    if isinstance(v, str):
+        line = _Line()
+        csv.writer(line, lineterminator="").writerow([v])
+        return line[0]
+    if not isinstance(v, np.ndarray):
+        return _text(np.array([v]))[0]
+    if v.dtype == bool:
+        return np.where(v, "1", "0").tolist()
+    return list(map(repr, v.tolist()))
 
 
-def _write_rows_csv(path: str, rows) -> None:
-    if not rows:
-        raise ValueError("no rows to write")
-    names = [f.name for f in dataclasses.fields(rows[0])]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(names)
-        for r in rows:
-            w.writerow([_fmt(getattr(r, name)) for name in names])
+def _emit(blocks: list, summary: dict,
+          out_csv: str | None, out_json: str | None) -> list:
+    """Rows of the sorted blocks, and their CSV and JSON files.
 
-
-def _emit(rows, summary: dict,
-          out_csv: str | None, out_json: str | None) -> None:
+    A block holds the rows of one test function (or one sharpness row) as
+    a row NamedTuple whose fields are numpy columns or single values
+    repeated down the block.  Its CSV text is one write, so the text of
+    only one block is held at a time."""
+    rows = []
+    for b in blocks:
+        m = np.size(b.x)
+        rows.extend(map(type(b)._make, zip(*(
+            v.tolist() if isinstance(v, np.ndarray) else [v] * m for v in b))))
     if out_csv is not None:
-        _write_rows_csv(out_csv, rows)
+        if not rows:
+            raise ValueError("no rows to write")
+        with open(out_csv, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerow(blocks[0]._fields)
+            # a cell's blocks are adjacent, so its shared columns (x, thm2,
+            # duality) are converted once per run of blocks
+            prev: dict = {}
+            for b in blocks:
+                m = np.size(b.x)
+                cur = {id(v): prev.get(id(v)) or _text(v)
+                       for v in b if isinstance(v, np.ndarray)}
+                cols = [cur[id(v)] if isinstance(v, np.ndarray)
+                        else [_text(v)] * m for v in b]
+                fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
+                prev = cur
     if out_json is not None:
         with open(out_json, "w") as fh:
             json.dump(summary, fh, sort_keys=True, indent=2)
             fh.write("\n")
+    return rows
 
 
 def _write_plot_script(path: str, csv_path: str,

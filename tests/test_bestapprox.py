@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from psikern import (
     KernelSpec,
     Neumann,
+    SolverStall,
     TrigPoly,
     best_l1,
     best_uniform,
@@ -139,6 +140,23 @@ def test_l1_bland_short_steps_agree_with_long_steps(monkeypatch):
         r = best_l1(f, n)
         assert r.iterations > ref.iterations
         assert r.value == pytest.approx(ref.value, rel=1e-12)
+
+
+def test_l1_bland_returns_the_optimum_or_raises(monkeypatch):
+    """An ill-conditioned basis block can misjudge the exact-fit stop (at
+    n=7 it once returned 7e10 times the optimum with y = 0).  Under Bland's
+    rule every |sin| solve either agrees with the long-step value or raises
+    SolverStall; it never returns a different number.  (From n = 8 Bland
+    runs into the iteration cap, which takes seconds per n.)"""
+    f = lambda t: np.abs(np.sin(t))
+    ref = {n: best_l1(f, n).value for n in range(2, 8)}
+    monkeypatch.setattr(bestapprox, "STALL_WINDOW", 0)
+    for n, value in ref.items():
+        try:
+            r = best_l1(f, n)
+        except SolverStall:
+            continue
+        assert r.value == pytest.approx(value, rel=1e-12), n
 
 
 def test_l1_long_step_pivot_count():

@@ -177,3 +177,73 @@ def test_cli_lebesgue_and_bounds(capsys):
                    "--x-grid", "16"])
     assert rc == 0
     assert "rhs_thm1" in capsys.readouterr().out
+
+
+EVEN_ODD = {"kind": "even_odd", "q1": 0.9, "q2": 0.5}   # label has commas
+GEOMETRIC = {"kind": "geometric", "q": 0.5}
+
+
+def _csv_text(v):
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
+
+
+def _check_csv_contract(path, rows, types):
+    """Every CSV field is the text of its row value, and every row value
+    has its declared Python type."""
+    with open(path, newline="") as fh:
+        got = list(csv.reader(fh))
+    assert got[0] == list(rows[0]._fields)
+    assert got[1:] == [[_csv_text(v) for v in r] for r in rows]
+    for r in rows:
+        for name, v in r._asdict().items():
+            assert type(v) is types.get(name, float), (name, v)
+
+
+def test_csv_contract_verify_with_duality(tmp_path):
+    cfg = ExperimentConfig(psi_specs=(EVEN_ODD, GEOMETRIC),
+                           n_list=(3,), n_functions=2, x_grid=16,
+                           with_duality=True)
+    rows, _ = verify_lebesgue(cfg, out_csv=str(tmp_path / "v.csv"))
+    _check_csv_contract(tmp_path / "v.csv", rows, {
+        "psi": str, "n": int, "phi_index": int, "ok_thm1": bool,
+        "ok_dual_in_thm2": bool})
+    assert all(r.ok_dual_in_thm2 is True for r in rows)
+    assert '"even_odd(q1=0.9,q2=0.5)"' in (tmp_path / "v.csv").read_text()
+
+
+def test_csv_contract_classical(tmp_path):
+    cfg = ExperimentConfig(psi_specs=(EVEN_ODD,), n_list=(3,),
+                           n_functions=2, x_grid=16)
+    rows, _ = classical_lebesgue_check(cfg, out_csv=str(tmp_path / "c.csv"))
+    _check_csv_contract(tmp_path / "c.csv", rows, {
+        "psi": str, "n": int, "phi_index": int, "ok": bool})
+
+
+def test_csv_contract_sharpness(tmp_path):
+    cfg = ExperimentConfig(psi_specs=(EVEN_ODD, GEOMETRIC),
+                           n_list=(4, 8))
+    rows, _ = sharpness_probe(cfg, out_csv=str(tmp_path / "s.csv"))
+    assert len(rows) == 4
+    _check_csv_contract(tmp_path / "s.csv", rows, {"psi": str, "n": int})
+
+
+@pytest.mark.parametrize("check", [verify_lebesgue, classical_lebesgue_check])
+def test_rows_and_csv_sorted_by_label_n_function_x(tmp_path, check):
+    # specs and n listed against sort order, so the corpus order differs
+    cfg = ExperimentConfig(psi_specs=({"kind": "neumann", "q": 0.5},
+                                      GEOMETRIC),
+                           n_list=(8, 4), n_functions=8, x_grid=8)
+    rows, _ = check(cfg, out_csv=str(tmp_path / "r.csv"))
+    key = lambda r: (r.psi, r.n, r.phi_index, r.x)
+    assert rows == sorted(rows, key=key)
+    assert rows[0].psi == "geometric(q=0.5)" and rows[0].n == 4
+    with open(tmp_path / "r.csv", newline="") as fh:
+        got = [(p, int(n), int(i), float(x))
+               for p, _, n, i, x, *_ in list(csv.reader(fh))[1:]]
+    assert got == [key(r) for r in rows]
