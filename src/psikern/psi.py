@@ -14,7 +14,8 @@ whose true value is trapped in [value, value + remainder_bound]:
     double_tail(n)   = sum_{k>=0} sum_{nu >= (2k+1)n-k} psi(nu)
 
 Remainders come from per-family majorants (closed forms, integral tests,
-or certified geometric ratio envelopes); partial sums are evaluated as
+or certified geometric ratio envelopes); the power family's closed forms
+are Hurwitz zeta enclosures (hurwitz_zeta).  Partial sums are evaluated as
 suffix sums of a lazily grown cache so that no precision is lost to
 head/tail cancellation even when the tail is 40 orders of magnitude
 below the head.
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import zeta as _hurwitz_zeta
 
 from .errors import (
     DivisionDomain,
@@ -45,6 +45,7 @@ from .errors import (
 
 DEFAULT_REL_TOL = 1e-12
 DEFAULT_TERM_BUDGET = 10_000_000
+_U = 2.0 ** -53  # unit roundoff of float64
 # serializes cache growth so a cache never shrinks under a racing grower
 _GROW_LOCK = threading.Lock()
 
@@ -62,6 +63,15 @@ class CertifiedSum:
     the symmetric reading value +- remainder_bound; see trig.kernel_eval.
     Bounds are evaluated in float64: quantities below the subnormal range
     round to zero.
+
+    Closed forms come in two kinds.  The power family's Hurwitz zeta
+    values carry a nonzero remainder_bound that covers both the
+    Euler-Maclaurin truncation and floating-point rounding, so
+    [value, hi] encloses the true sum.  The geometric-type closed forms
+    (Geometric, GenPoisson with r = 1, EvenOdd) report remainder_bound
+    0.0: they have no truncation, and the few roundings of their formulas
+    are not counted yet.  Cached partial sums do not count rounding
+    either.
     """
 
     value: float
@@ -155,20 +165,26 @@ class PsiFamily:
     def _ktail_remainder(self, K: int) -> float:
         raise NotImplementedError
 
-    def _closed_tail(self, n: int) -> float | None:
+    def _closed_tail(self, n: int) -> CertifiedSum | None:
         return None
 
-    def _closed_weighted(self, n: int) -> float | None:
+    def _closed_weighted(self, n: int) -> CertifiedSum | None:
         return None
 
-    def _closed_double(self, n: int, k_start: int) -> float | None:
+    def _closed_double(self, n: int, k_start: int) -> CertifiedSum | None:
         return None
 
-    def _closed_tail_array(self, m: np.ndarray) -> np.ndarray | None:
-        """Vectorized exact tails sum_{k>=m_i} psi(k), or None; lets
-        double_tail sum exact blocks instead of cached suffix sums."""
-        del m
-        return None
+    def _closed_double_blocks(self, n: int, k_start: int,
+                              kmax: int) -> tuple[float, float, float]:
+        """Optional hook for families whose block tails have closed forms.
+
+        Returns (lo, width, trunc): sum_{k>=k_start} tail(n + k(2n-1)) lies
+        in [lo, lo + width], where blocks k_start..kmax are summed and the
+        rest is bracketed; trunc is the part of width that the bracket
+        contributes, which shrinks as kmax grows.  double_tail calls it
+        only when a subclass overrides it.
+        """
+        raise NotImplementedError
 
     def _lambda_analytic(self, t: float) -> float | None:
         return None
@@ -261,7 +277,7 @@ def tail_sum(psi: PsiFamily, n: int, rel_tol: float | None = None,
     """Certified sum_{k>=n} psi(k)."""
     closed = psi._closed_tail(int(n))
     if closed is not None:
-        return CertifiedSum(float(closed), 0.0, 0)
+        return closed
 
     def compute():
         vals, suf = psi._cache
@@ -277,7 +293,7 @@ def weighted_tail(psi: PsiFamily, n: int, rel_tol: float | None = None,
     n = int(n)
     closed = psi._closed_weighted(n)
     if closed is not None:
-        return CertifiedSum(float(closed), 0.0, 0)
+        return closed
 
     def compute():
         vals = psi._vals
@@ -301,23 +317,22 @@ def double_tail(psi: PsiFamily, n: int, rel_tol: float | None = None,
     n = int(n)
     closed = psi._closed_double(n, k_start)
     if closed is not None:
-        return CertifiedSum(float(closed), 0.0, 0)
+        return closed
     s = 2 * n - 1
 
-    if n >= 1 and psi._closed_tail_array(np.array([float(n + k_start * s)])) is not None:
-        # per-block tails are exact, so only the outer truncation counts;
-        # one closed evaluation per k replaces n + k(2n-1) cached terms
+    if n >= 1 and (type(psi)._closed_double_blocks
+                   is not PsiFamily._closed_double_blocks):
+        # one closed evaluation per block replaces n + k(2n-1) cached
+        # terms; only the bracket on the dropped blocks is held to rel_tol,
+        # since the block enclosures' rounding does not shrink with kmax
         rel = psi.default_rel_tol if rel_tol is None else float(rel_tol)
         bud = DEFAULT_TERM_BUDGET if budget is None else int(budget)
         kmax = k_start + 15
         while True:
-            ks = np.arange(k_start, kmax + 1, dtype=np.float64)
-            value = float(np.sum(psi._closed_tail_array(n + ks * s)))
-            mstar = n + (kmax + 1) * s
-            rem = psi._tail_remainder(mstar - 1) + psi._ktail_remainder(mstar - 1) / s
+            lo, width, trunc = psi._closed_double_blocks(n, k_start, kmax)
             blocks = kmax - k_start + 1
-            if (rem <= rel * value) or (value == 0.0 and rem == 0.0):
-                return CertifiedSum(float(value), float(rem), int(blocks))
+            if (trunc <= rel * lo) or (lo == 0.0 and trunc == 0.0):
+                return CertifiedSum(float(lo), float(width), int(blocks))
             if blocks >= bud:
                 raise SlowConvergence(
                     f"{psi.label()}: double_tail at n={n} did not certify within "
@@ -491,6 +506,11 @@ def class_check(psi: PsiFamily, n_range: Sequence[int]) -> dict[int, ClassFlags]
 # ---------------------------------------------------------------------------
 
 
+def _exact(value: float) -> CertifiedSum:
+    # a closed form without truncation; its rounding is not counted
+    return CertifiedSum(float(value), 0.0, 0)
+
+
 def _geom_tail(q: float, m: int) -> float:
     # sum_{k>=m} q^k
     return q ** m / (1.0 - q)
@@ -501,14 +521,106 @@ def _geom_ktail(q: float, m: int) -> float:
     return q ** m * (m - (m - 1) * q) / (1.0 - q) ** 2
 
 
+# Euler-Maclaurin for the Hurwitz zeta function: shift a to x = a + N with
+# x >= s + _EM_SHIFT, then add _EM_TERMS Bernoulli corrections.  Every
+# correction ratio (s+2j-1)(s+2j)/(2 pi x)^2 is then below 1/(4 pi^2).
+_EM_TERMS = 10
+_EM_SHIFT = 20.0
+# B_2j as (numerator, denominator), j = 1.._EM_TERMS + 1
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730),
+              (7, 6), (-3617, 510), (43867, 798), (-174611, 330),
+              (854513, 138))
+# B_2j/(2j)!, each correctly rounded (Python int / int)
+_EM_COEF = tuple(num / (den * math.factorial(2 * j))
+                 for j, (num, den) in enumerate(_BERNOULLI, start=1))
+_TINY = 2.0 ** -1074  # smallest subnormal: the absolute error of underflow
+
+
+def _gamma(k: float) -> float:
+    # Higham's gamma_k = k u / (1 - k u) bounds the relative error of k
+    # roundings (Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    # Lemma 3.1)
+    return k * _U / (1.0 - k * _U)
+
+
+def hurwitz_zeta(s: float, a) -> tuple[np.ndarray, np.ndarray]:
+    """Enclosure of zeta(s, a) = sum_{k>=0} (a+k)^(-s), real s > 1, a >= 1.
+
+    Returns arrays (lo, width), shaped like a, with
+    lo <= zeta(s, a) <= lo + width for the float a given.
+
+    Method (Johansson, "Rigorous high-precision computation of the
+    Hurwitz zeta function and its derivatives", Numer. Algorithms 69,
+    2015): sum the first N terms explicitly, N = max(0, ceil(s + 20 - a)),
+    then apply Euler-Maclaurin at x = a + N,
+
+        zeta(s, x) = x^(1-s)/(s-1) + x^(-s)/2 + sum_{j=1}^{M} T_j + R,
+        T_j = B_2j/(2j)! (s)_{2j-1} x^(-s-2j+1),
+
+    with M = 10 and (s)_k the rising factorial.  f(t) = (x+t)^(-s) is
+    completely monotone, so the remainder after T_M has the sign of the
+    first omitted term and |R| <= |T_{M+1}|: the Euler-Maclaurin remainder
+    of DLMF 2.10.2 lies between 0 and twice the first term it stands for
+    when f^(2M+2) >= 0 (by |B_2m(t)| <= |B_2m| on [0,1], DLMF 24.9.1), and
+    applying that to both M+1 and M+2 leaves R between 0 and T_{M+1}.
+    This is Backlund's bound for real s (Edwards, Riemann's Zeta Function,
+    1974, ch. 6).  B_22 > 0, so R lies in [0, T_11].
+
+    Rounding is counted a priori in units of u = 2^-53: s u for the
+    rounding of a + k raised to the power -s, 4 ulps for each library pow,
+    one per other operation, combined by Higham's gamma_k; plus an
+    absolute allowance for underflow.
+    """
+    s = float(s)
+    a = np.asarray(a, dtype=np.float64)
+    if not (s > 1.0 and np.all(a >= 1.0)):
+        raise ValueError("hurwitz_zeta needs s > 1 and a >= 1")
+    N = np.maximum(np.ceil(s + _EM_SHIFT - a), 0.0)
+    x = a + N
+    head = np.zeros_like(x)
+    short = N > 0.0
+    if np.any(short):
+        k = np.arange(N.max())
+        terms = (a[short][..., None] + k) ** -s
+        head[short] = np.sum(np.where(k < N[short][..., None], terms, 0.0),
+                             axis=-1)
+    p = x ** -s
+    y = 1.0 / (x * x)
+    coef, rising = [], s  # coef[j-1] = B_2j/(2j)! (s)_{2j-1}
+    for j, c in enumerate(_EM_COEF, start=1):
+        coef.append(c * rising)
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+    corr = np.zeros_like(x)
+    for c in reversed(coef[:_EM_TERMS]):
+        corr = corr * y + c
+    corr = corr * p / x
+    omitted = coef[_EM_TERMS] * y ** _EM_TERMS * p / x
+    main = head + x * p / (s - 1.0) + 0.5 * p
+    lo = main + corr
+    # Each part of main carries at most s + 8 roundings' worth (s u from
+    # a + k or a + N under the power, 4 ulps of pow, four roundings in
+    # x p/(s-1)); the head adds N - 1 additions, and the sums into lo,
+    # lo - err and lo + width five more.  The corrections alternate with
+    # ratios below 1/(4 pi^2), so sum |T_j| <= 2 T_1 = 2 coef[0] p/x, and
+    # each T_j sees at most s + 10M + 10 roundings.  Underflow adds an
+    # absolute error per operation, which x p/(s-1) scales by x/(s-1).
+    err = (_gamma(s + N + 16.0) * main
+           + _gamma(s + 10.0 * _EM_TERMS + 16.0) * 2.0 * coef[0] * p / x
+           + 8.0 * (s + N + 16.0) * (1.0 + x / (s - 1.0)) * _TINY)
+    return lo - err, omitted + 2.0 * err
+
+
 class Power(PsiFamily):
     """psi(k) = k^(-r).  Requires r > 2 so that sum k psi(k) converges.
 
-    Single and k-weighted tails are Hurwitz zeta values, hence exact.
-    The double tail still pays for its outer truncation through the
-    K^(2-r) majorant (about (rel_tol * 2n * value)^(1/(r-2)) exact blocks
-    near r = 2), so its default tolerance stays loose; pass rel_tol
-    explicitly when r is comfortably large.
+    Single and k-weighted tails are Hurwitz zeta values: tail_sum(n) is
+    zeta(r, n) and n weighted_tail(n) is zeta(r-1, n+1) - n zeta(r, n+1).
+    Both come from hurwitz_zeta, whose enclosure counts truncation and
+    rounding, so their remainder_bound is small but not zero.  The double
+    tail sums enclosed blocks zeta(r, n + k(2n-1)) and brackets the dropped
+    ones in closed form; the bracket narrows like K^(1-r)/(2n-1) in the
+    block count K.  The default tolerance keeps that count in the tens to
+    low hundreds; pass rel_tol explicitly for tighter double tails.
     """
 
     kind = "power"
@@ -533,17 +645,46 @@ class Power(PsiFamily):
         return K ** (2.0 - self.r) / (self.r - 2.0)
 
     def _closed_tail(self, n):
-        return float(_hurwitz_zeta(self.r, n))
+        lo, width = hurwitz_zeta(self.r, n)
+        return CertifiedSum(float(lo), float(width), 0)
 
     def _closed_weighted(self, n):
-        # (1/n) sum_{m>n} (m-n) m^-r; the two zetas agree to within a
-        # factor 2, so the subtraction loses at most one bit
+        # (1/n) sum_{m>n} (m-n) m^-r.  Interval subtraction: the lower end
+        # takes the upper end of n zeta(r, n+1).  n zeta(r, n+1) <
+        # zeta(r-1, n+1), so slack covers the roundings of n (lo2 + w2), the
+        # subtraction, the division by n and the sum in hi.
         r = self.r
-        return float(_hurwitz_zeta(r - 1.0, n + 1)
-                     - n * _hurwitz_zeta(r, n + 1)) / n
+        lo1, w1 = hurwitz_zeta(r - 1.0, n + 1)
+        lo2, w2 = hurwitz_zeta(r, n + 1)
+        sub = n * (lo2 + w2)
+        slack = _gamma(5.0) * (lo1 + w1 + sub)
+        return CertifiedSum(float((lo1 - sub - slack) / n),
+                            float((w1 + n * w2 + 2.0 * slack) / n), 0)
 
-    def _closed_tail_array(self, m):
-        return _hurwitz_zeta(self.r, m)
+    def _closed_double_blocks(self, n, k_start, kmax):
+        r, s = self.r, 2 * n - 1
+        lo, width = hurwitz_zeta(
+            r, n + s * np.arange(k_start, kmax + 1, dtype=np.float64))
+        # beyond kmax, zeta(r, m) lies in [m^(1-r)/(r-1), m^(1-r)/(r-1) + m^-r]
+        # by the integral test; summed over m = n + ks, k > kmax, the two
+        # ends are s^(1-r) zeta(r-1, a)/(r-1) and s^-r zeta(r, a) more, with
+        # a = kmax + 1 + n/s.  The two roundings in a move zeta(e, a) by a
+        # factor within 1 +- 2 e u (|d ln zeta(e, a)/d ln a| <= e), and each
+        # end costs 4 ulps of pow and at most six other roundings.
+        a = kmax + 1 + n / s
+        i_lo, i_w = hurwitz_zeta(r - 1.0, a)
+        e_lo, e_w = hurwitz_zeta(r, a)
+        g = _gamma(2.0 * r + 10.0)
+        f = s ** -r
+        out_lo = f * s * i_lo / (r - 1.0) * (1.0 - g)
+        out_hi = (f * s * (i_lo + i_w) / (r - 1.0) + f * (e_lo + e_w)) * (1.0 + g)
+        trunc = out_hi - out_lo
+        total_lo = math.fsum(lo) + out_lo
+        total_w = math.fsum(width) + trunc
+        # the fsums, the additions, trunc, the two slack terms and the sum
+        # in hi: at most ten roundings reach either end
+        slack = _gamma(10.0) * (total_lo + total_w)
+        return total_lo - slack, total_w + 2.0 * slack, trunc
 
     def _lambda_analytic(self, t):
         return t / self.r
@@ -574,14 +715,14 @@ class Geometric(PsiFamily):
         return _geom_ktail(self.q, K + 1)
 
     def _closed_tail(self, n):
-        return _geom_tail(self.q, n)
+        return _exact(_geom_tail(self.q, n))
 
     def _closed_weighted(self, n):
-        return self.q ** (n + 1) / (n * (1.0 - self.q) ** 2)
+        return _exact(self.q ** (n + 1) / (n * (1.0 - self.q) ** 2))
 
     def _closed_double(self, n, k_start):
         q, s = self.q, 2 * n - 1
-        return q ** (n + k_start * s) / ((1.0 - q) * (1.0 - q ** s))
+        return _exact(q ** (n + k_start * s) / ((1.0 - q) * (1.0 - q ** s)))
 
     def _lambda_analytic(self, t):
         return 1.0 / math.log(1.0 / self.q)
@@ -640,19 +781,19 @@ class GenPoisson(PsiFamily):
     def _closed_tail(self, n):
         if self.r != 1.0:
             return None
-        return _geom_tail(self._q(), n)
+        return _exact(_geom_tail(self._q(), n))
 
     def _closed_weighted(self, n):
         if self.r != 1.0:
             return None
         q = self._q()
-        return q ** (n + 1) / (n * (1.0 - q) ** 2)
+        return _exact(q ** (n + 1) / (n * (1.0 - q) ** 2))
 
     def _closed_double(self, n, k_start):
         if self.r != 1.0:
             return None
         q, s = self._q(), 2 * n - 1
-        return q ** (n + k_start * s) / ((1.0 - q) * (1.0 - q ** s))
+        return _exact(q ** (n + k_start * s) / ((1.0 - q) * (1.0 - q ** s)))
 
     def _lambda_analytic(self, t):
         return t ** (1.0 - self.r) / (self.alpha * self.r)
@@ -933,7 +1074,7 @@ class EvenOdd(PsiFamily):
         return q1 ** m / (1.0 - q1 ** 2) + q2 ** (m + 1) / (1.0 - q2 ** 2)
 
     def _closed_tail(self, n):
-        return self._tail_closed(n)
+        return _exact(self._tail_closed(n))
 
     def _closed_weighted(self, n):
         q1, q2 = self.q1, self.q2
@@ -943,7 +1084,7 @@ class EvenOdd(PsiFamily):
         even_part = 2.0 * q2 ** (n + 2) / (1.0 - q2 ** 2) ** 2
         odd_part = 2.0 * q1 ** (n + 3) / (1.0 - q1 ** 2) ** 2 \
             + q1 ** (n + 1) / (1.0 - q1 ** 2)
-        return (even_part + odd_part) / n
+        return _exact((even_part + odd_part) / n)
 
     def _closed_double(self, n, k_start):
         s = 2 * n - 1
@@ -958,7 +1099,7 @@ class EvenOdd(PsiFamily):
                 + q2 ** (m + 1) / ((1.0 - q2 ** 2) * (1.0 - q2 ** (2 * s)))
 
         m0 = n + k_start * s
-        return block(m0) + block(m0 + s)
+        return _exact(block(m0) + block(m0 + s))
 
 
 class Tabulated(PsiFamily):

@@ -7,9 +7,12 @@ sum_nu (floor((nu-n)/(2n-1))+1) psi(nu) for the generalized-Poisson one.
 """
 
 import math
+import os
+import subprocess
 import sys
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +48,7 @@ from psikern.errors import (
     SlowConvergence,
     UnknownRatioMonotonicity,
 )
+from psikern.psi import hurwitz_zeta
 
 # family factory, n, oracle T, oracle W, oracle D (None = not frozen),
 # explicit (T, W, D) rel_tols (None = family default)
@@ -328,6 +332,121 @@ def test_power_tail_integral_bracket(r, n):
     lo = n ** (1.0 - r) / (r - 1.0)
     assert lo - 1e-12 * lo <= T.hi
     assert T.value <= n ** (-r) + lo + 1e-12 * lo
+
+
+def _encloses(lo, width, true):
+    lo = mpmath.mpf(float(lo))
+    return lo <= true <= lo + mpmath.mpf(float(width))
+
+
+def test_hurwitz_zeta_encloses_mpmath():
+    """A seeded sample of (s, a), s in (1.01, 10] with a cluster near 1,
+    a in [1, 1e8]: every enclosure holds mpmath's zeta(s, a) at 40 digits.
+    Half the points go through scalar calls, half through array calls."""
+    rng = np.random.default_rng(2015)
+    s = 1.0 + 10.0 ** rng.uniform(-2.0, math.log10(9.0), 20)
+    a = np.where(rng.random((20, 10)) < 0.5,
+                 rng.integers(1, 401, (20, 10)).astype(np.float64),
+                 10.0 ** rng.uniform(0.0, 8.0, (20, 10)))
+    a[:, 0] = 1.0
+    with mpmath.workdps(40):
+        for i, si in enumerate(s):
+            if i % 2:
+                lo, width = hurwitz_zeta(si, a[i])
+                assert lo.shape == width.shape == (10,)
+            else:
+                pairs = [hurwitz_zeta(si, float(ai)) for ai in a[i]]
+                lo, width = (np.array(v) for v in zip(*pairs))
+            assert np.all(width > 0.0) and np.all(width <= 1e-12 * lo)
+            for li, wi, ai in zip(lo, width, a[i]):
+                assert _encloses(li, wi, mpmath.zeta(si, ai)), (si, ai)
+
+
+def test_hurwitz_zeta_rejects_outside_domain():
+    with pytest.raises(ValueError):
+        hurwitz_zeta(1.0, 2.0)
+    with pytest.raises(ValueError):
+        hurwitz_zeta(3.0, np.array([2.0, 0.5]))
+
+
+def _double_tail_mpmath(r, n, k_start):
+    # blocks zeta(r, n + ks) summed directly for 12 k, the rest by mpmath's
+    # Euler-Maclaurin with the exact integral and k-derivatives
+    # d^p/dk^p zeta(r, n + ks) = (-s)^p (r)_p zeta(r + p, n + ks)
+    r, s = mpmath.mpf(r), 2 * n - 1
+    K = k_start + 12
+
+    def diffs():
+        p = 0
+        while True:
+            yield (-s) ** p * mpmath.rf(r, p) * mpmath.zeta(r + p, n + K * s)
+            p += 1
+
+    head = mpmath.fsum(mpmath.zeta(r, n + k * s) for k in range(k_start, K))
+    return head + mpmath.sumem(
+        lambda k: mpmath.zeta(r, n + k * s), [K, mpmath.inf],
+        integral=mpmath.zeta(r - 1, n + K * s) / ((r - 1) * s),
+        adiffs=diffs())
+
+
+@pytest.mark.parametrize("r", [2.05, 3.0, 4.5])
+def test_power_tails_enclose_mpmath(r):
+    """tail_sum = zeta(r, n), weighted_tail = (zeta(r-1, n+1) -
+    n zeta(r, n+1))/n and, for r in {3, 4.5}, both double tails enclose
+    40-digit mpmath values at a seeded sample of n <= 400."""
+    psi = Power(r)
+    ns = np.random.default_rng(int(10 * r)).choice(
+        np.arange(2, 401), 24, replace=False).tolist() + [1]
+    with mpmath.workdps(40):
+        for n in ns:
+            T, W = tail_sum(psi, n), weighted_tail(psi, n)
+            assert T.remainder_bound > 0.0 and W.remainder_bound > 0.0
+            assert _encloses(T.value, T.remainder_bound,
+                             mpmath.zeta(r, n)), n
+            w = (mpmath.zeta(r - 1, n + 1) - n * mpmath.zeta(r, n + 1)) / n
+            assert _encloses(W.value, W.remainder_bound, w), n
+        if r == 2.05:
+            return
+        for n in ns[:4] + [1]:
+            for k_start in (0, 1):
+                D = double_tail(psi, n, k_start=k_start)
+                assert _encloses(D.value, D.remainder_bound,
+                                 _double_tail_mpmath(r, n, k_start)), (n, k_start)
+
+
+def test_power_double_tail_needs_few_blocks():
+    # the closed-form bracket on the dropped blocks narrows like
+    # K^(1-r)/(2n-1), so about a hundred blocks meet the default rel_tol
+    psi = Power(3.0)
+    for n in range(1, 201):
+        for k_start in (0, 1):
+            assert double_tail(psi, n, k_start=k_start).terms_used <= 256
+
+
+def test_import_and_power_tails_load_no_scipy():
+    """psikern's runtime needs numpy only: importing it, the Power tails
+    and the psi-info command load no scipy module."""
+    code = (
+        "import sys\n"
+        "import psikern\n"
+        "from psikern.cli import main\n"
+        "psi = psikern.Power(3.0)\n"
+        "for n in (1, 5, 50):\n"
+        "    psikern.tail_sum(psi, n); psikern.weighted_tail(psi, n)\n"
+        "    psikern.double_tail(psi, n)\n"
+        "assert main(['psi-info', '--psi', '{\"kind\":\"power\",\"r\":3}',"
+        " '--n', '1,5,50']) == 0\n"
+        "bad = [m for m in sys.modules if m == 'scipy'"
+        " or m.startswith('scipy.')]\n"
+        "assert not bad, bad\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pk.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @given(st.lists(st.floats(0.0, 10.0), min_size=2, max_size=25),
