@@ -7,6 +7,11 @@ bracket constants are interval endpoints taken verbatim from the source
 estimates.  Certified tail sums enter through their upper ends wherever
 an upper bound is promised.
 
+sine_factor (defined in interp, re-exported here), thm1_rhs,
+thm1_rhs_modified and thm2_sup_bracket take x as a float or a numpy
+array: a float gives float values, an array gives arrays of the same
+shape, element for element equal to the scalar calls.
+
 The duality interval starts from the attained half-range of the truncated
 kernel tail, found on an FFT grid and refined by Newton polish, and is
 widened by three terms: the aliasing remainder (a double tail), the series
@@ -23,6 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import HypothesisUnmet, SlowConvergence
+from .interp import sine_factor
 from .psi import (
     DEFAULT_TERM_BUDGET as TERM_BUDGET,
     PsiFamily,
@@ -34,9 +40,7 @@ from .psi import (
 
 PI = math.pi
 
-# bracket constant ranges (lo, hi) for the equality forms
-XI_THM1 = (-(1.0 + 2.0 * PI), 1.0)
-THETA_THM2 = (-(1.0 + PI), 1.0)
+# bracket constant ranges (lo, hi) for the second-order forms
 XI3_RANGE = (-4.0 * (1.0 + 2.0 * PI), (8.0 / 3.0) * (1.0 + PI))
 XI4_RANGE = (-(1.0 + 2.0 * PI), 2.0 * (1.0 + PI))
 XI1_SUP_RANGE = (-4.0 * (1.0 + PI), (4.0 / 3.0) * (2.0 + PI))
@@ -44,11 +48,16 @@ XI2_SUP_RANGE = (-(1.0 + PI), 2.0 + PI)
 
 @dataclass(frozen=True)
 class Interval:
+    """[lo, hi], with float endpoints or, for brackets over an x grid,
+    numpy arrays of endpoints; every lo must be <= its hi (no NaN).  The
+    containment tests give a bool, or a bool array for array endpoints."""
+
     lo: float
     hi: float
 
     def __post_init__(self):
-        if not self.lo <= self.hi:
+        ok = self.lo <= self.hi
+        if not (ok.all() if isinstance(ok, np.ndarray) else ok):
             raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
 
     @property
@@ -60,10 +69,10 @@ class Interval:
         return self.hi - self.lo
 
     def contains(self, v: float, slack: float = 0.0) -> bool:
-        return self.lo - slack <= v <= self.hi + slack
+        return (self.lo - slack <= v) & (v <= self.hi + slack)
 
     def contains_interval(self, other: "Interval", slack: float = 0.0) -> bool:
-        return self.lo - slack <= other.lo and other.hi <= self.hi + slack
+        return (self.lo - slack <= other.lo) & (other.hi <= self.hi + slack)
 
 
 @dataclass(frozen=True)
@@ -72,13 +81,9 @@ class GammaPhase:
 
 
 def gamma_phase(n: int, x: float, beta: float) -> GammaPhase:
-    """The kernel-tail phase ((2n-1)x + pi(beta-1))/2."""
+    """The kernel-tail phase ((2n-1)x + pi(beta-1))/2; x a float or an
+    array."""
     return GammaPhase(((2 * n - 1) * x + PI * (beta - 1.0)) / 2.0)
-
-
-def sine_factor(n: int, x: float) -> float:
-    """(2/pi)|sin((2n-1)x/2)|; zero exactly at the interpolation nodes."""
-    return 2.0 / PI * abs(math.sin((2 * n - 1) * x / 2.0))
 
 
 def _check_E(E: float) -> float:
@@ -90,17 +95,19 @@ def _check_E(E: float) -> float:
 
 def thm1_rhs(psi: PsiFamily, n: int, x: float, E: float) -> float:
     """Deviation upper bound (2/pi)|sin((2n-1)x/2)| * (double tail) * E,
-    using the certified upper end of the double tail."""
+    using the certified upper end of the double tail.  x a float (float
+    result) or an array (array result)."""
     E = _check_E(E)
     return sine_factor(n, x) * double_tail(psi, n).hi * E
 
 
 def thm1_rhs_modified(psi: PsiFamily, n: int, x: float, E: float) -> float:
     """Same bound with the larger factor (1/n) sum_{k>=n} k psi(k), which
-    splits exactly into tail_sum + weighted_tail; always >= thm1_rhs."""
+    splits exactly into tail_sum + weighted_tail; always >= thm1_rhs.
+    It is the upper end of thm2_sup_bracket times E.  x a float (float
+    result) or an array (array result)."""
     E = _check_E(E)
-    factor = tail_sum(psi, n).hi + weighted_tail(psi, n).hi
-    return sine_factor(n, x) * factor * E
+    return thm2_sup_bracket(psi, 0.0, n, x).hi * E
 
 
 def thm2_sup_bracket(psi: PsiFamily, beta: float, n: int, x: float) -> Interval:
@@ -108,6 +115,7 @@ def thm2_sup_bracket(psi: PsiFamily, beta: float, n: int, x: float) -> Interval:
     (2/pi)|sin((2n-1)x/2)| * [T - (1+pi) W, T + W] with T the tail sum and
     W the weighted tail (certified outer hull).  beta does not enter the
     endpoints; it is accepted for signature symmetry with the duality route.
+    A float x gives float endpoints, an array x arrays of endpoints.
     """
     del beta
     T = tail_sum(psi, n)
@@ -173,8 +181,9 @@ def poisson_bounds(alpha: float, n: int, x: float, E: float) -> PoissonBounds:
 def dq_bound(psi: PsiFamily, n: int, x: float, E: float,
              c: float = 8.0) -> Interval:
     """Bracket for families with ratio limit q in (0, 1):
-    center (2/(pi(1-q))) |sin| psi(n) E, half-width
-    c (q/(n(1-q)^2) + eps_n/(1-q)^2) |sin| psi(n) E.
+    center s psi(n) E/(1-q), half-width
+    c (pi/2) (q/(n(1-q)^2) + eps_n/(1-q)^2) s psi(n) E, with s the sine
+    factor (2/pi)|sin((2n-1)x/2)|.
 
     c is the implementation's bounding constant for the unpinned O(1)
     terms (default 8, configurable).  Requires 1/n + eps_n < (1-q)/2.
@@ -187,9 +196,9 @@ def dq_bound(psi: PsiFamily, n: int, x: float, E: float,
     if not 1.0 / n + eps < (1.0 - q) / 2.0:
         raise HypothesisUnmet(
             f"1/n + eps_n = {1.0 / n + eps:.4f} >= (1-q)/2 = {(1 - q) / 2:.4f} at n={n}")
-    s = abs(math.sin((2 * n - 1) * x / 2.0))
-    center = s * psi.value(n) * 2.0 / (PI * (1.0 - q)) * E
-    half = c * (q / (n * (1.0 - q) ** 2) + eps / (1.0 - q) ** 2) \
+    s = sine_factor(n, x)
+    center = s * psi.value(n) / (1.0 - q) * E
+    half = 0.5 * PI * c * (q / (n * (1.0 - q) ** 2) + eps / (1.0 - q) ** 2) \
         * s * psi.value(n) * E
     return Interval(center - half, center + half)
 
@@ -372,9 +381,8 @@ def duality_sup_batch(psi: PsiFamily, beta: float, n: int, xs,
     tol = rel_tol * float(np.sum(vals))
     h = 2.0 * PI / M
     t = h * np.arange(M)
-    gammas = ((2 * n - 1) * xs + PI * (beta - 1.0)) / 2.0
     # one problem per (side, x): maximize sigma g_x, sigma = +1 then -1
-    phase = np.exp(1j * gammas)
+    phase = np.exp(1j * gamma_phase(n, xs, beta).gamma_n)
     rot = np.concatenate([phase, -phase])
     V = np.outer(rot, _grid_profile(ks, vals, M)).real
     best = V.max(axis=1)
@@ -419,9 +427,6 @@ def duality_sup_batch(psi: PsiFamily, beta: float, n: int, xs,
     # for heavy-tailed families, so cap at the family's feasible default
     rb_tol = max(rel_tol, psi.default_rel_tol)
     rbound = double_tail(psi, n, rb_tol, k_start=1).hi + trunc
-    out = []
-    for x, m, d in zip(xs, main, miss):
-        s = sine_factor(n, float(x))
-        out.append(Interval(float(s * (m - rbound)),
-                            float(s * (m + rbound + d))))
-    return out
+    s = sine_factor(n, xs)
+    return list(map(Interval, (s * (main - rbound)).tolist(),
+                    (s * (main + rbound + miss)).tolist()))

@@ -14,7 +14,12 @@ import sys
 import numpy as np
 
 from .bestapprox import best_l1, best_uniform
-from .bounds import duality_sup, thm1_rhs, thm1_rhs_modified, thm2_sup_bracket
+from .bounds import (
+    duality_sup_batch,
+    thm1_rhs,
+    thm1_rhs_modified,
+    thm2_sup_bracket,
+)
 from .errors import PsikernError
 from .harness import (
     ExperimentConfig,
@@ -135,21 +140,20 @@ def _cmd_lebesgue(args) -> int:
 def _cmd_bounds(args) -> int:
     psi = psi_from_dict(json.loads(args.psi))
     n = int(args.order)
-    E = args.E
-    xg = 2.0 * np.pi * np.arange(args.x_grid or 64) / (args.x_grid or 64)
-    lines = ["x,rhs_thm1,rhs_thm1_modified,thm2_lo,thm2_hi,dual_lo,dual_hi"]
-    for x in xg:
-        x = float(x)
-        r1 = thm1_rhs(psi, n, x, E)
-        rm = thm1_rhs_modified(psi, n, x, E)
-        t2 = thm2_sup_bracket(psi, args.beta or 0.0, n, x)
-        if args.with_duality:
-            dv = duality_sup(psi, args.beta or 0.0, n, x, args.duality_grid)
-            dlo, dhi = repr(dv.lo), repr(dv.hi)
-        else:
-            dlo = dhi = ""
-        lines.append(f"{x!r},{r1!r},{rm!r},{t2.lo!r},{t2.hi!r},{dlo},{dhi}")
-    text = "\n".join(lines) + "\n"
+    beta = args.beta or 0.0
+    m = args.x_grid or 64
+    xg = 2.0 * np.pi * np.arange(m) / m
+    r1 = thm1_rhs(psi, n, xg, args.E)
+    rm = thm1_rhs_modified(psi, n, xg, args.E)
+    t2 = thm2_sup_bracket(psi, beta, n, xg)
+    cols = [list(map(repr, c.tolist())) for c in (xg, r1, rm, t2.lo, t2.hi)]
+    if args.with_duality:
+        dual = duality_sup_batch(psi, beta, n, xg, args.duality_grid)
+        cols += [[repr(iv.lo) for iv in dual], [repr(iv.hi) for iv in dual]]
+    else:
+        cols += [[""] * m] * 2
+    text = "x,rhs_thm1,rhs_thm1_modified,thm2_lo,thm2_hi,dual_lo,dual_hi\n" \
+        + "".join(",".join(r) + "\n" for r in zip(*cols))
     if args.out_csv:
         with open(args.out_csv, "w") as fh:
             fh.write(text)
@@ -180,13 +184,14 @@ def _cmd_psi_info(args) -> int:
            "ratio_limit": psi.ratio_limit,
            "m_alpha_member": psi.m_alpha_member}
     for n in _parse_n_list(args.n or "4"):
-        entry = {
-            "psi_n": psi.value(n),
-            "tail_sum": tail_sum(psi, n).value,
-            "weighted_tail": weighted_tail(psi, n).value,
-            "double_tail": double_tail(psi, n).value,
-            "limit_ratio": limit_ratio(psi, n),
-        }
+        entry = {"psi_n": psi.value(n)}
+        # each certified sum as its enclosure [value, value_hi]
+        for name, fn in (("tail_sum", tail_sum),
+                         ("weighted_tail", weighted_tail),
+                         ("double_tail", double_tail)):
+            S = fn(psi, n)
+            entry[name], entry[f"{name}_hi"] = S.value, S.hi
+        entry["limit_ratio"] = limit_ratio(psi, n)
         try:
             ch = characteristics(psi, float(n))
             entry["characteristics"] = dataclasses.asdict(ch)

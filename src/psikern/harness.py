@@ -22,17 +22,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .bestapprox import best_l1, best_uniform
-from .bounds import duality_sup, duality_sup_batch, sine_factor
+from .bounds import (
+    Interval,
+    duality_sup,
+    duality_sup_batch,
+    sine_factor,
+    thm1_rhs,
+    thm2_sup_bracket,
+)
 from .errors import TrendViolation
 from .interp import interpolate, lebesgue_fn, nodes
-from .psi import (
-    PsiFamily,
-    double_tail,
-    limit_ratio,
-    psi_from_dict,
-    tail_sum,
-    weighted_tail,
-)
+from .psi import PsiFamily, limit_ratio, psi_from_dict, tail_sum
 from .trig import KernelSpec, TrigPoly, psi_integral
 
 PI = math.pi
@@ -182,34 +182,35 @@ def verify_lebesgue(config: ExperimentConfig,
     xg = _x_grid(config)
     ents = []
     for psi, n in cells:
-        s_vec = 2.0 / PI * np.abs(np.sin((2 * n - 1) * xg / 2.0))
-        T = tail_sum(psi, n)
-        W = weighted_tail(psi, n)
-        thm2_lo = s_vec * (T.value - (1.0 + PI) * W.hi)
-        thm2_hi = s_vec * (T.hi + W.hi)
-        s_dt = s_vec * double_tail(psi, n).hi
+        # cached tail sums tighten as the cache grows, so a cell's bounds
+        # are all taken here, before the corpus grows the caches: thm1 at
+        # E = 1, scaled per function (x * 1.0 is exact), and the modified
+        # thm1, which is thm2's upper end times E
+        thm2 = thm2_sup_bracket(psi, config.beta, n, xg)
+        rhs1 = thm1_rhs(psi, n, xg, 1.0)
         dual_lo = dual_hi = ok_dual = None
         if config.with_duality:
             dual = duality_sup_batch(psi, config.beta, n, xg,
                                      config.duality_grid)
             dual_lo = np.array([iv.lo for iv in dual])
             dual_hi = np.array([iv.hi for iv in dual])
-            slack = config.slack_scale * (1.0 + np.abs(thm2_hi))
-            ok_dual = ((thm2_lo - slack <= dual_lo)
-                       & (dual_hi <= thm2_hi + slack))
-        # the cell's columns; the function's are filled in per block
+            ok_dual = thm2.contains_interval(
+                Interval(dual_lo, dual_hi),
+                config.slack_scale * (1.0 + np.abs(thm2.hi)))
+        # the cell's columns, thm1 at E = 1; the function's are filled in
+        # per block
         cell = BoundReport(psi.label(), config.beta, n, None, xg, None, None,
-                           None, None, thm2_lo, thm2_hi, dual_lo, dual_hi,
+                           rhs1, None, thm2.lo, thm2.hi, dual_lo, dual_hi,
                            None, ok_dual)
-        ents.append((cell, s_dt, nodes(n).nodes))
+        ents.append((cell, nodes(n).nodes))
 
     blocks = []
     for ci, i, psi, n, phi, f in _corpus(config, cells):
-        cell, s_dt, xk = ents[ci]
+        cell, xk = ents[ci]
         E = best_l1(phi, n, config.solver_grid).value
         p = interpolate(f(xk), n)
         lhs = np.abs(f(xg) - p(xg))
-        rhs1 = s_dt * E
+        rhs1 = cell.rhs_thm1 * E
         blocks.append(cell._replace(
             phi_index=i, lhs=lhs, E=E, rhs_thm1=rhs1,
             rhs_thm1_modified=cell.thm2_hi * E,
@@ -278,8 +279,7 @@ def classical_lebesgue_check(config: ExperimentConfig,
         p = interpolate(f(nodes(n).nodes), n)
         lhs = np.abs(f(xg) - p(xg))
         rhs_c = (1.0 + lebesgue_fn(n, xg)) * Eu
-        s_vec = 2.0 / PI * np.abs(np.sin((2 * n - 1) * xg / 2.0))
-        rhs1 = s_vec * double_tail(psi, n).hi * El
+        rhs1 = thm1_rhs(psi, n, xg, El)
         with np.errstate(divide="ignore", invalid="ignore"):
             rat = np.where(rhs_c > 0.0, rhs1 / rhs_c, np.nan)
         ok = lhs <= rhs_c + config.slack_scale * (1.0 + lhs + rhs_c)

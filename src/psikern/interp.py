@@ -103,6 +103,14 @@ def lebesgue_fn(n: int, x):
     return float(out[0]) if scalar else out
 
 
+def sine_factor(n: int, x):
+    """(2/pi)|sin((2n-1)x/2)|, the oscillation factor of every deviation
+    bound; zero exactly at the nodes.  x may be a float or a numpy array:
+    a scalar gives a float (math.sin), an array an array (np.sin)."""
+    sin = np.sin if isinstance(x, np.ndarray) else math.sin
+    return 2.0 / math.pi * abs(sin((2 * n - 1) * x / 2.0))
+
+
 def lebesgue_residual(n: int, x):
     """L_n(x) - (2/pi)|sin((2n-1)x/2)| ln n: the bounded part of the
     Lebesgue function's growth.  Equals 1 at nodes (the sine factor
@@ -112,6 +120,5 @@ def lebesgue_residual(n: int, x):
     xv = np.asarray(x, dtype=np.float64)
     scalar = xv.ndim == 0
     xv = np.atleast_1d(xv)
-    out = lebesgue_fn(n, xv) \
-        - 2.0 / math.pi * np.abs(np.sin((2 * n - 1) * xv / 2.0)) * math.log(n)
+    out = lebesgue_fn(n, xv) - sine_factor(n, xv) * math.log(n)
     return float(out[0]) if scalar else out

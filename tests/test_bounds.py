@@ -96,6 +96,71 @@ def test_thm2_bracket_shape():
     assert abs(node.lo) < 1e-14 and abs(node.hi) < 1e-14
 
 
+ARRAY_FAMILIES = [
+    {"kind": "geometric", "q": 0.5},
+    {"kind": "gen_poisson", "alpha": 1.0, "r": 0.5},
+    {"kind": "power", "r": 3.0},
+]
+
+
+def _within_ulp(arr, scalars):
+    scalars = np.array(scalars)
+    return np.all(np.abs(arr - scalars) <= np.spacing(np.abs(scalars)))
+
+
+@pytest.mark.parametrize("spec", ARRAY_FAMILIES,
+                         ids=[s["kind"] for s in ARRAY_FAMILIES])
+def test_bounds_accept_array_x(spec):
+    psi = psi_from_dict(dict(spec))
+    n, E = 7, 1.3
+    # nodes 2 pi k/13 fall on the grid too, where the factor vanishes
+    xs = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+    xs = np.concatenate([xs[:-2], 2 * math.pi * np.array([1.0, 5.0]) / 13])
+    # cached tail sums tighten as the cache grows: certify every tail
+    # first, so the scalar and array calls below read the same cache
+    thm1_rhs(psi, n, 0.5, E)
+    thm2_sup_bracket(psi, 0.0, n, 0.5)
+    s = sine_factor(n, xs)
+    r1 = thm1_rhs(psi, n, xs, E)
+    rm = thm1_rhs_modified(psi, n, xs, E)
+    br = thm2_sup_bracket(psi, 0.0, n, xs)
+    for arr in (s, r1, rm, br.lo, br.hi):
+        assert isinstance(arr, np.ndarray) and arr.shape == xs.shape
+    assert _within_ulp(s, [sine_factor(n, float(x)) for x in xs])
+    assert _within_ulp(r1, [thm1_rhs(psi, n, float(x), E) for x in xs])
+    assert _within_ulp(rm, [thm1_rhs_modified(psi, n, float(x), E)
+                            for x in xs])
+    scalar = [thm2_sup_bracket(psi, 0.0, n, float(x)) for x in xs]
+    assert _within_ulp(br.lo, [iv.lo for iv in scalar])
+    assert _within_ulp(br.hi, [iv.hi for iv in scalar])
+    # scalars, numpy scalars included, still give Python floats
+    for x in (0.4, np.float64(0.4)):
+        assert type(sine_factor(n, x)) is float
+        assert type(thm1_rhs(psi, n, x, E)) is float
+        assert type(thm1_rhs_modified(psi, n, x, E)) is float
+        iv = thm2_sup_bracket(psi, 0.0, n, x)
+        assert type(iv) is Interval
+        assert type(iv.lo) is float and type(iv.hi) is float
+
+
+def test_array_intervals():
+    iv = Interval(np.array([0.0, 1.0]), np.array([0.5, 1.0]))
+    assert np.array_equal(iv.width, [0.5, 0.0])
+    assert np.array_equal(iv.contains(0.25), [True, False])
+    assert np.array_equal(
+        iv.contains_interval(Interval(np.array([0.1, 0.2]), np.array([0.4, 1.2])),
+                          slack=0.1),
+        [True, False])
+    with pytest.raises(ValueError):
+        Interval(np.array([0.0, 2.0, 0.0]), np.array([1.0, 1.0, 1.0]))
+    with pytest.raises(ValueError):
+        Interval(np.array([0.0, np.nan]), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError):
+        Interval(np.array([0.0, 0.0]), np.array([1.0, np.nan]))
+    with pytest.raises(ValueError):
+        Interval(math.nan, 1.0)
+
+
 def test_poisson_closed_forms_match_generic():
     """Dual route: the geometric specialization must agree with the
     generic certified machinery at matching q = e^{-alpha}."""

@@ -9,11 +9,18 @@ import pytest
 
 from psikern import (
     ExperimentConfig,
+    best_l1,
     classical_lebesgue_check,
+    duality_sup_batch,
+    psi_from_dict,
     sharpness_probe,
+    thm1_rhs,
+    thm1_rhs_modified,
+    thm2_sup_bracket,
     verify_lebesgue,
 )
 from psikern.cli import main as cli_main
+from psikern.harness import _cells, _corpus
 
 SMALL = ExperimentConfig(
     psi_specs=({"kind": "geometric", "q": 0.5},),
@@ -150,6 +157,17 @@ def test_cli_psi_info_and_bestapprox(capsys):
     assert out["value"] == pytest.approx(3.996786721940289, rel=1e-6)
 
 
+def test_cli_psi_info_reports_enclosures(capsys):
+    rc = cli_main(["psi-info", "--psi", '{"kind": "power", "r": 3}',
+                   "--n", "1"])
+    assert rc == 0
+    entry = json.loads(capsys.readouterr().out)["n=1"]
+    for name in ("tail_sum", "weighted_tail", "double_tail"):
+        assert entry[name] <= entry[f"{name}_hi"]
+    # the n = 1 double tail of k^-3 is sum_k k * k^-3 = zeta(2)
+    assert entry["double_tail"] <= math.pi ** 2 / 6 <= entry["double_tail_hi"]
+
+
 def test_cli_verify_and_exit_codes(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(SMALL.to_dict()))
@@ -178,9 +196,85 @@ def test_cli_lebesgue_and_bounds(capsys):
     assert rc == 0
     assert "rhs_thm1" in capsys.readouterr().out
 
+    # every column is one array-x library call, replayed in the command's
+    # order on a fresh family (cached tails tighten as the cache grows)
+    rc = cli_main(["bounds", "--psi", json.dumps(GEN_POISSON), "--order", "5",
+                   "--beta", "0.3", "--E", "1.3", "--x-grid", "16",
+                   "--with-duality"])
+    assert rc == 0
+    text = capsys.readouterr().out
+    assert "np.float64(" not in text
+    got = list(csv.reader(text.splitlines()))
+    assert got[0] == ["x", "rhs_thm1", "rhs_thm1_modified", "thm2_lo",
+                      "thm2_hi", "dual_lo", "dual_hi"]
+    psi = psi_from_dict(GEN_POISSON)
+    xs = 2.0 * np.pi * np.arange(16) / 16
+    r1 = thm1_rhs(psi, 5, xs, 1.3)
+    rm = thm1_rhs_modified(psi, 5, xs, 1.3)
+    t2 = thm2_sup_bracket(psi, 0.3, 5, xs)
+    dual = duality_sup_batch(psi, 0.3, 5, xs)
+    want = [xs, r1, rm, t2.lo, t2.hi, [iv.lo for iv in dual],
+            [iv.hi for iv in dual]]
+    assert np.array_equal(np.array(got[1:], dtype=float), np.transpose(want))
+
+
+def _blocks(rows):
+    """Rows grouped per test function: {(psi, n, phi_index): rows}."""
+    out = {}
+    for r in rows:
+        out.setdefault((r.psi, r.n, r.phi_index), []).append(r)
+    return out
+
+
+def _col(rows, name):
+    return np.array([getattr(r, name) for r in rows])
+
+
+def test_harness_bound_columns_come_from_bounds():
+    """Each function's bound columns equal the array-x bounds.py calls bit
+    for bit.  Cached tails tighten as a family's cache grows, so the calls
+    replay the harness's order on fresh families: for verify, one n per
+    family, then thm2_sup_bracket, thm1_rhs and duality_sup_batch per cell
+    (thm1_rhs_modified, thm2's upper end times E, on a family of its
+    own); for classical, thm1_rhs after each function's kernel image."""
+    specs = (GEN_POISSON, EVEN_ODD, GEOMETRIC)
+    cfg = ExperimentConfig(psi_specs=specs, n_list=(3,), n_functions=6,
+                           x_grid=32, beta=0.4, with_duality=True)
+    rows, _ = verify_lebesgue(cfg)
+    blocks = _blocks(rows)
+    assert len(blocks) == 6
+    for spec in specs:
+        psi = psi_from_dict(dict(spec))
+        mine = [b for k, b in blocks.items() if k[0] == psi.label()]
+        xs = _col(mine[0], "x")
+        t2 = thm2_sup_bracket(psi, 0.4, 3, xs)
+        r1 = [thm1_rhs(psi, 3, xs, b[0].E) for b in mine]
+        dual = duality_sup_batch(psi, 0.4, 3, xs)
+        for b, want in zip(mine, r1):
+            assert np.array_equal(_col(b, "x"), xs)
+            assert np.array_equal(_col(b, "thm2_lo"), t2.lo)
+            assert np.array_equal(_col(b, "thm2_hi"), t2.hi)
+            assert np.array_equal(_col(b, "rhs_thm1"), want)
+            assert np.array_equal(
+                _col(b, "rhs_thm1_modified"),
+                thm1_rhs_modified(psi_from_dict(dict(spec)), 3, xs, b[0].E))
+            assert np.array_equal(_col(b, "dual_lo"), [iv.lo for iv in dual])
+            assert np.array_equal(_col(b, "dual_hi"), [iv.hi for iv in dual])
+
+    cfg = ExperimentConfig(psi_specs=(GEN_POISSON, EVEN_ODD), n_list=(3, 4),
+                           n_functions=4, x_grid=16)
+    rows, _ = classical_lebesgue_check(cfg)
+    blocks = _blocks(rows)
+    for _, i, psi, n, phi, _ in _corpus(cfg, _cells(cfg)):
+        b = blocks[(psi.label(), n, i)]
+        xs = _col(b, "x")
+        El = best_l1(phi, n, cfg.solver_grid).value
+        assert np.array_equal(_col(b, "rhs_thm1"), thm1_rhs(psi, n, xs, El))
+
 
 EVEN_ODD = {"kind": "even_odd", "q1": 0.9, "q2": 0.5}   # label has commas
 GEOMETRIC = {"kind": "geometric", "q": 0.5}
+GEN_POISSON = {"kind": "gen_poisson", "alpha": 1.0, "r": 0.5}
 
 
 def _csv_text(v):
