@@ -295,8 +295,16 @@ def _trig_sums(ts: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
 
 def _evaluate(ts, rot, W, n):
     """sigma g, sigma g' and sigma g'' at ts, where rot = sigma e^{i gamma}
-    and W holds the weights psi(k), k psi(k), k^2 psi(k)."""
-    Z = _trig_sums(ts, W, n)
+    and W holds the weights psi(k), k psi(k), k^2 psi(k).
+
+    The problems of a batch share grid points and cell midpoints, so the
+    kernel sums are taken once per distinct t; the rows of _trig_sums do
+    not depend on each other.  A single distinct t is summed at every
+    entry instead: numpy hands a one-row product to gemv, which rounds
+    differently from the gemm that sums two rows or more.
+    """
+    u, inv = np.unique(ts, return_inverse=True)
+    Z = _trig_sums(u, W, n)[:, inv] if len(u) > 1 else _trig_sums(ts, W, n)
     return (rot * Z[0]).real, -(rot * Z[1]).imag, -(rot * Z[2]).real
 
 
@@ -317,6 +325,47 @@ def _polish(t0, rot, w, W, n, tol):
         with np.errstate(divide="ignore", invalid="ignore"):
             move = np.where(d2 < 0.0, -d1 / d2, np.sign(d1) * w)
         t = np.clip(t + np.clip(move, -0.5 * w, 0.5 * w), t0 - w, t0 + w)
+
+
+def _grid_values(V, f):
+    """Values at flat indices f of the 2 len(V) x M problem grid, whose
+    rows are V (sigma = +1) and then -V (sigma = -1)."""
+    r, j = np.divmod(f, V.shape[1])
+    v = V[r % len(V), j]
+    return np.where(r < len(V), v, -v)
+
+
+def _grid_step(f, d, M):
+    """Flat index d points further along the same row, mod M."""
+    j = f % M
+    return f - j + (j + d) % M
+
+
+def _grid_starts(V, best, lift, tol):
+    """Flat indices, row-major over the problem grid (see _grid_values),
+    of the hot points, whose value + lift beats their row's best + tol,
+    and of the hot points that are local maxima of their row: the polish
+    starts."""
+    nx, M = V.shape
+    thr = best + tol
+    hot = np.concatenate([np.flatnonzero(V + lift > thr[:nx, None]),
+                          np.flatnonzero(lift - V > thr[nx:, None]) + V.size])
+    f = _grid_values(V, hot)
+    peak = ((f >= _grid_values(V, _grid_step(hot, -1, M)))
+            & (f >= _grid_values(V, _grid_step(hot, 1, M))))
+    return hot, hot[peak]
+
+
+def _grid_cells(V, hot, best, lift, tol):
+    """Flat indices of the grid cells [t_j, t_j + h] whose larger endpoint
+    value + lift beats their row's (raised) best + tol, with both endpoint
+    values.  Rounding is monotone, so fl(max(a, b) + c) equals
+    max(fl(a + c), fl(b + c)): these are the cells with an endpoint among
+    the hot points still hot under the raised best."""
+    M = V.shape[1]
+    hot = hot[_grid_values(V, hot) + lift > (best + tol)[hot // M]]
+    cell = np.union1d(hot, _grid_step(hot, -1, M))
+    return cell, _grid_values(V, cell), _grid_values(V, _grid_step(cell, 1, M))
 
 
 def _covered(p, a, w, centers, radii):
@@ -349,18 +398,29 @@ def duality_sup_batch(psi: PsiFamily, beta: float, n: int, xs,
     phase mixes the same two profiles A(t) = sum psi(k) cos(kt) and
     B(t) = sum psi(k) sin(kt) for every x; both come from one FFT on the
     M-point grid (M >= 16n, default max(16n, 256)).  For each x, the max
-    of g_K and the max of -g_K are found the same way:
+    of g_K and the max of -g_K are found the same way, as 2 len(xs)
+    problems whose grid values are V and -V for one product V:
 
-    - polish: Newton steps on g' = 0 from every grid local maximum whose
-      cells could beat the grid maximum (see _polish);
+    - hot points: grid values v with v + h^2/8 * S2 > best + tol, where
+      h = 2 pi/M, S2 = sum_{k=n}^{K} k^2 psi(k), best is the problem's
+      grid maximum and tol = rel_tol * sum psi(k).  Only these are
+      visited after the one threshold pass (see _grid_starts);
+    - polish: Newton steps on g' = 0 from every hot point that is a
+      local maximum of its problem's grid values, mod M (see _polish);
     - grid-miss bound, by branch and bound over the grid cells: a cell of
-      width w is bounded by its larger endpoint value + w^2/8 * S2, with
-      S2 = sum_{k=n}^{K} k^2 psi(k).  A polished point with g'' < 0
+      width w is bounded by its larger endpoint value + w^2/8 * S2.  The
+      cells that enter are those with an endpoint still hot under the
+      polished best (see _grid_cells).  A polished point with g'' < 0
       certifies g_K <= g_K(t) + g'(t)^2/|g''(t)| within
       1.5|g''(t)|/S3 of it, S3 = sum_{k=n}^{K} k^3 psi(k).  Cells that
-      could still beat the best attained value by more than
-      rel_tol * sum psi(k) and lie in no such basin are bisected, at most
-      REFINE_DEPTH times; a cell left at the cap keeps its bound.
+      could still beat the best attained value by more than tol and lie
+      in no such basin are bisected, at most REFINE_DEPTH times; a cell
+      left at the cap keeps its bound.
+
+    Polish steps and bisection midpoints evaluate g_K, g_K' and g_K''
+    once per distinct t and share the sums among the problems at that t
+    (see _evaluate); problems for different x meet at the same grid
+    points and cell midpoints.
 
     The lower end of each interval is the attained half-range (the best
     polished or grid value on each side) less rbound; the upper end adds
@@ -374,6 +434,10 @@ def duality_sup_batch(psi: PsiFamily, beta: float, n: int, xs,
     if M < 16 * n:
         raise ValueError("duality grid must have at least 16n points")
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+    if xs.ndim != 1:
+        raise ValueError(f"xs must be one-dimensional, got shape {xs.shape}")
+    if not np.isfinite(xs).all():
+        raise ValueError("xs must be finite")
     ks, vals, trunc = _tail_kernel_setup(psi, n, rel_tol)
     W = np.stack([vals, ks * vals, ks * (ks * vals)])
     curv = float(np.sum(W[2])) / 8.0
@@ -381,15 +445,17 @@ def duality_sup_batch(psi: PsiFamily, beta: float, n: int, xs,
     tol = rel_tol * float(np.sum(vals))
     h = 2.0 * PI / M
     t = h * np.arange(M)
-    # one problem per (side, x): maximize sigma g_x, sigma = +1 then -1
+    # one problem per (side, x): maximize sigma g_x, sigma = +1 then -1;
+    # the sigma = -1 rows of the grid are exactly -V.  V is copied out of
+    # the complex product so that the product can be freed
     phase = np.exp(1j * gamma_phase(n, xs, beta).gamma_n)
     rot = np.concatenate([phase, -phase])
-    V = np.outer(rot, _grid_profile(ks, vals, M)).real
-    best = V.max(axis=1)
+    V = np.outer(phase, _grid_profile(ks, vals, M)).real.copy()
+    best = np.concatenate([V.max(axis=1), -V.min(axis=1)])
+    lift = curv * h * h
 
-    right = np.roll(V, -1, axis=1)
-    p, j = np.nonzero((V >= np.roll(V, 1, axis=1)) & (V >= right)
-                      & (V + curv * h * h > best[:, None] + tol))
+    hot, start = _grid_starts(V, best, lift, tol)
+    p, j = np.divmod(start, M)
     tp, f, d1, d2, seen = _polish(t[j], rot[p], h, W, n, tol)
     np.maximum.at(best, p, seen)
     # basins, one slot per start of each problem (p is sorted)
@@ -403,8 +469,9 @@ def duality_sup_batch(psi: PsiFamily, beta: float, n: int, xs,
     radii[p[certified], slot[certified]] = -1.5 * d2[certified] / S3
 
     # branch and bound; every cell dropped below is bounded by best + tol
-    cp, j = np.nonzero(np.maximum(V, right) + curv * h * h > best[:, None] + tol)
-    a, fa, fb, w = t[j], V[cp, j], right[cp, j], h
+    cell, fa, fb = _grid_cells(V, hot, best, lift, tol)
+    cp, j = np.divmod(cell, M)
+    a, w = t[j], h
     for depth in range(REFINE_DEPTH + 1):
         U = np.maximum(fa, fb) + curv * w * w
         keep = (U > best[cp] + tol) & ~_covered(cp, a, w, centers, radii)

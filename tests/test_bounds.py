@@ -5,9 +5,10 @@ oscillation (gmax - gmin)/2 for the geometric kernel tail at n = 3,
 x = pi/5, beta = 0.25, scaled by (2/pi)|sin((2n-1)x/2)|.
 
 The duality checks at the end compare against independent slow routes:
-dense cos/sin tables for the folded-FFT grid and the polish sums, a
-closed-form Newton iteration for a two-term kernel, and a brute-force
-2^16-point grid for random short tables.
+dense cos/sin tables for the folded-FFT grid and the polish sums, the
+dense roll-and-mask grid selection over all 2 len(xs) x M points, sums
+taken once per entry, a closed-form Newton iteration for a two-term
+kernel, and a brute-force 2^16-point grid for random short tables.
 """
 
 import math
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psikern import (
+    EvenOdd,
     GenPoisson,
     Geometric,
     Interval,
@@ -38,6 +40,7 @@ from psikern import (
     tail_sum,
     weighted_tail,
 )
+from psikern import bounds
 from psikern.bounds import _evaluate, _grid_profile, _tail_kernel_setup
 from psikern.errors import HypothesisUnmet
 
@@ -308,6 +311,107 @@ def test_duality_polish_sums_match_dense_tables():
             assert np.max(np.abs(f - sig * (np.cos(ph) @ vals))) <= 1e-13 * S[0]
             assert np.max(np.abs(d1 + sig * (np.sin(ph) @ W[1]))) <= 1e-13 * S[1]
             assert np.max(np.abs(d2 + sig * (np.cos(ph) @ W[2]))) <= 1e-13 * S[2]
+
+
+def test_duality_batch_rejects_bad_xs():
+    psi = Geometric(0.5)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        duality_sup_batch(psi, 0.0, 4, [[0.1, 0.2]])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            duality_sup_batch(psi, 0.0, 4, [0.1, bad])
+        with pytest.raises(ValueError, match="finite"):
+            duality_sup(psi, 0.0, 4, bad)
+
+
+def _dense_grid_selection(V2, best0, best1, lift, tol):
+    """The grid stage written over the dense 2 len(xs) x M problem grid V2:
+    the polish starts (p, j) under the grid maxima best0, and the
+    branch-and-bound cells (cp, j) with both endpoint values under the
+    polished maxima best1, each in row-major order."""
+    right = np.roll(V2, -1, axis=1)
+    p, j = np.nonzero((V2 >= np.roll(V2, 1, axis=1)) & (V2 >= right)
+                      & (V2 + lift > best0[:, None] + tol))
+    cp, cj = np.nonzero(np.maximum(V2, right) + lift > best1[:, None] + tol)
+    return (p, j), (cp, cj, V2[cp, cj], right[cp, cj])
+
+
+def _record_grid_stage(monkeypatch):
+    """Wrap _grid_starts and _grid_cells so that every batch records V, the
+    maxima before and after polish (copied: the batch raises them in
+    place), lift, tol and both selections."""
+    calls = []
+    starts, cells = bounds._grid_starts, bounds._grid_cells
+
+    def record_starts(V, best, lift, tol):
+        out = starts(V, best, lift, tol)
+        calls.append(dict(V=V, best0=best.copy(), lift=lift, tol=tol,
+                          start=out[1]))
+        return out
+
+    def record_cells(V, hot, best, lift, tol):
+        out = cells(V, hot, best, lift, tol)
+        calls[-1].update(best1=best.copy(), cells=out)
+        return out
+
+    monkeypatch.setattr(bounds, "_grid_starts", record_starts)
+    monkeypatch.setattr(bounds, "_grid_cells", record_cells)
+    return calls
+
+
+def test_duality_grid_selection_matches_dense_reference(monkeypatch):
+    calls = _record_grid_stage(monkeypatch)
+    xs = 0.013 + np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+    cases = [(psi_from_dict(dict(spec)), n, xs)
+             for spec in SWEEP_FAMILIES for n in (2, 16, 64)]
+    # the two-peak kernel of the test below
+    two_peaks = Tabulated([0.0, 1.0, 1e-4])
+    cases += [(two_peaks, 2, xs), (two_peaks, 2, [1.0617128210050935])]
+    for psi, n, x in cases:
+        duality_sup_batch(psi, 0.0, n, x)
+        rec = calls[-1]
+        # the full product over both sides; its sigma = -1 rows are -V
+        ks, vals, _ = _tail_kernel_setup(psi, n, 1e-12)
+        phase = np.exp(1j * gamma_phase(n, np.asarray(x), 0.0).gamma_n)
+        M = rec["V"].shape[1]
+        V2 = np.outer(np.concatenate([phase, -phase]),
+                      _grid_profile(ks, vals, M)).real
+        assert np.array_equal(V2, np.concatenate([rec["V"], -rec["V"]]))
+        assert np.array_equal(rec["best0"], V2.max(axis=1))
+        (p, j), (cp, cj, fa, fb) = _dense_grid_selection(
+            V2, rec["best0"], rec["best1"], rec["lift"], rec["tol"])
+        cell, ga, gb = rec["cells"]
+        assert np.array_equal(rec["start"], p * M + j)
+        assert np.array_equal(cell, cp * M + cj)
+        assert np.array_equal(ga, fa) and np.array_equal(gb, fb)
+        assert len(p) and len(cp)
+    assert len(calls) == len(cases)
+
+
+def test_duality_shared_kernel_sums_are_bit_identical(monkeypatch):
+    def per_entry(ts, rot, W, n):
+        Z = bounds._trig_sums(ts, W, n)
+        return (rot * Z[0]).real, -(rot * Z[1]).imag, -(rot * Z[2]).real
+
+    rng = np.random.default_rng(11)
+    xs = 0.013 + np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+    for make in (lambda: GenPoisson(1.0, 0.5), lambda: EvenOdd(0.9, 0.5)):
+        for n in (4, 23):
+            # repeated points, and a single distinct point at every entry
+            ks, vals, _ = _tail_kernel_setup(make(), n, 1e-12)
+            W = np.stack([vals, ks * vals, ks * (ks * vals)])
+            rot = np.exp(1j * rng.uniform(0.0, 2 * math.pi, 6))
+            for ts in (rng.uniform(0.0, 2 * math.pi, 3)[[0, 1, 0, 2, 1, 0]],
+                       np.full(6, rng.uniform(0.0, 2 * math.pi))):
+                for a, b in zip(_evaluate(ts, rot, W, n),
+                                per_entry(ts, rot, W, n)):
+                    assert np.array_equal(a, b)
+            shared = duality_sup_batch(make(), 0.0, n, xs)
+            with monkeypatch.context() as m:
+                m.setattr(bounds, "_evaluate", per_entry)
+                each = duality_sup_batch(make(), 0.0, n, xs)
+            assert [(iv.lo, iv.hi) for iv in shared] == \
+                [(iv.lo, iv.hi) for iv in each]
 
 
 def test_duality_finds_the_higher_of_two_near_equal_peaks():
