@@ -27,14 +27,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import HypothesisUnmet, SlowConvergence
+from .errors import HypothesisUnmet
 from .interp import sine_factor
 from .psi import (
-    DEFAULT_TERM_BUDGET as TERM_BUDGET,
     PsiFamily,
     alpha_lambda,
     double_tail,
     tail_sum,
+    truncation_order,
     weighted_tail,
 )
 
@@ -226,41 +226,6 @@ NEWTON_STEPS = 8    # polish steps per start point
 REFINE_DEPTH = 16   # bisections of one grid cell before its bound is kept
 
 
-def _tail_kernel_setup(psi: PsiFamily, n: int, rel_tol: float):
-    """Shared truncation state for g(t) = sum_{k=n}^{K} psi(k) cos(kt + gamma).
-
-    The cutoff K certifies the truncation against tail_sum(n) itself, not
-    against the full head sum; closed-form families never grow their value
-    cache on their own, so the growth is forced here.
-    """
-    T = tail_sum(psi, n, rel_tol)
-    target = rel_tol * T.value if T.value > 0.0 else rel_tol
-    psi._ensure(n + 8)
-    cached = psi._vals
-    while psi._tail_remainder(len(cached)) > target:
-        if len(cached) >= TERM_BUDGET:
-            raise SlowConvergence(
-                f"{psi.label()}: kernel truncation stalled at K={len(cached)}",
-                terms_used=len(cached))
-        psi._ensure(2 * len(cached))
-        cached = psi._vals
-    # the cache may be far longer than needed (grown for tighter-purpose
-    # sums earlier); slice at the smallest certified cutoff so the trig
-    # tables stay O(K) and not O(cache)
-    lo, hi = n + 8, len(cached)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if psi._tail_remainder(mid) <= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    K = lo
-    vals = cached[n - 1:K]
-    ks = np.arange(n, K + 1)
-    trunc = float(psi._tail_remainder(K))
-    return ks, vals, trunc
-
-
 def _grid_profile(ks: np.ndarray, vals: np.ndarray, M: int) -> np.ndarray:
     """A + iB = sum_k psi(k) e^{ik t_j} at the grid points t_j = 2 pi j / M.
 
@@ -395,11 +360,14 @@ def duality_sup_batch(psi: PsiFamily, beta: float, n: int, xs,
     """duality_sup at every x in xs, sharing the kernel work for one (psi, n).
 
     g is truncated to g_K = sum_{k=n}^{K} psi(k) cos(kt + gamma_n).  The
-    phase mixes the same two profiles A(t) = sum psi(k) cos(kt) and
-    B(t) = sum psi(k) sin(kt) for every x; both come from one FFT on the
-    M-point grid (M >= 16n, default max(16n, 256)).  For each x, the max
-    of g_K and the max of -g_K are found the same way, as 2 len(xs)
-    problems whose grid values are V and -V for one product V:
+    cutoff is K = max(n + 8, truncation_order(psi, rel_tol, n=n)), the
+    smallest K whose remainder bound is within rel_tol of tail_sum(n);
+    the weights are psi.head(K).  The phase mixes the same two profiles
+    A(t) = sum psi(k) cos(kt) and B(t) = sum psi(k) sin(kt) for every x;
+    both come from one FFT on the M-point grid (M >= 16n, default
+    max(16n, 256)).  For each x, the max of g_K and the max of -g_K are
+    found the same way, as 2 len(xs) problems whose grid values are V and
+    -V for one product V:
 
     - hot points: grid values v with v + h^2/8 * S2 > best + tol, where
       h = 2 pi/M, S2 = sum_{k=n}^{K} k^2 psi(k), best is the problem's
@@ -438,7 +406,9 @@ def duality_sup_batch(psi: PsiFamily, beta: float, n: int, xs,
         raise ValueError(f"xs must be one-dimensional, got shape {xs.shape}")
     if not np.isfinite(xs).all():
         raise ValueError("xs must be finite")
-    ks, vals, trunc = _tail_kernel_setup(psi, n, rel_tol)
+    K = max(n + 8, truncation_order(psi, rel_tol, n=n))
+    ks = np.arange(n, K + 1)
+    vals = psi.head(K)[n - 1:]
     W = np.stack([vals, ks * vals, ks * (ks * vals)])
     curv = float(np.sum(W[2])) / 8.0
     S3 = float(ks @ W[2])
@@ -493,7 +463,8 @@ def duality_sup_batch(psi: PsiFamily, beta: float, n: int, xs,
     # kernel's rel_tol from slow majorants would explode the term budget
     # for heavy-tailed families, so cap at the family's feasible default
     rb_tol = max(rel_tol, psi.default_rel_tol)
-    rbound = double_tail(psi, n, rb_tol, k_start=1).hi + trunc
+    rbound = double_tail(psi, n, rb_tol, k_start=1).hi \
+        + float(psi._tail_remainder(K))
     s = sine_factor(n, xs)
     return list(map(Interval, (s * (main - rbound)).tolist(),
                     (s * (main + rbound + miss)).tolist()))

@@ -129,7 +129,7 @@ def _cmd_lebesgue(args) -> int:
     if args.out_csv:
         with open(args.out_csv, "w") as fh:
             fh.write("x,lebesgue,residual\n")
-            for x, lv, rv in zip(xg, L, R):
+            for x, lv, rv in zip(xg.tolist(), L.tolist(), R.tolist()):
                 fh.write(f"{x!r},{lv!r},{rv!r}\n")
     node_val = float(lebesgue_fn(n, nodes(n).nodes[0]))
     print(f"lebesgue: n={n} max={float(np.max(L)):.6f} "

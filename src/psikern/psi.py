@@ -139,7 +139,11 @@ class PsiFamily:
     Instances are immutable apart from an internal, monotonically growing
     summation cache.  The cache is the pair (psi(1..C), suffix sums),
     published in one rebind and read through one local snapshot, so all
-    public operations are safe for concurrent use.
+    public operations are safe for concurrent use.  One certify-or-grow
+    loop decides how far it grows: tail_sum, weighted_tail, the cached
+    double_tail and truncation_order all double it until a majorant
+    certifies, clamped to the term budget, and raise SlowConvergence at
+    the budget.
     """
 
     kind: str = "abstract"
@@ -248,28 +252,34 @@ class PsiFamily:
 # ---------------------------------------------------------------------------
 
 
-def _grow_or_raise(psi: PsiFamily, n: int, budget: int, what: str) -> None:
-    have = len(psi._vals)
-    if have >= budget:
-        raise SlowConvergence(
-            f"{psi.label()}: {what} at n={n} did not certify within "
-            f"{budget} cached terms; relax rel_tol or raise the budget",
-            terms_used=have,
-        )
-    psi._ensure(min(budget, max(2 * have, n + 128, 64)))
-
-
 def _certified(psi, n, rel_tol, budget, compute, what):
+    """The one loop that grows a family's cache until a majorant certifies.
+
+    compute() reads one cache snapshot and returns (value, remainder,
+    terms_used); the result is certified once remainder <= rel_tol * value
+    (or both are 0).  The cache starts at n + 64 terms and doubles, never
+    past budget; a cache at the budget that still does not certify raises
+    SlowConvergence.
+    """
     rel_tol = psi.default_rel_tol if rel_tol is None else float(rel_tol)
     budget = DEFAULT_TERM_BUDGET if budget is None else int(budget)
     if n < 1 or n != int(n):
         raise ValueError("n must be a positive integer")
-    psi._ensure(min(budget, max(64, n + 64)))
+    psi._ensure(min(budget, n + 64))
     while True:
         value, rem, used = compute()
         if (rem <= rel_tol * value) or (value == 0.0 and rem == 0.0):
             return CertifiedSum(float(value), float(rem), int(used))
-        _grow_or_raise(psi, n, budget, what)
+        have = len(psi._vals)
+        if have >= budget:
+            raise SlowConvergence(
+                f"{psi.label()}: {what} at n={n} did not certify within "
+                f"{budget} cached terms; relax rel_tol or raise the budget",
+                terms_used=have,
+            )
+        # the cache holds at least n + 64 terms here, so doubling also
+        # reaches past n + 128
+        psi._ensure(min(budget, 2 * have))
 
 
 def tail_sum(psi: PsiFamily, n: int, rel_tol: float | None = None,
@@ -339,7 +349,7 @@ def double_tail(psi: PsiFamily, n: int, rel_tol: float | None = None,
                     f"{bud} exact tail blocks; relax rel_tol or raise the budget",
                     terms_used=int(blocks),
                 )
-            kmax = k_start + 2 * blocks - 1
+            kmax = k_start + min(bud, 2 * blocks) - 1
 
     def compute():
         vals, suf = psi._cache
@@ -387,18 +397,34 @@ def lemma1_check(psi: PsiFamily, n: int, rel_tol: float | None = None,
 
 
 def truncation_order(psi: PsiFamily, rel_tol: float = 1e-12,
-                     budget: int | None = None) -> int:
-    """Smallest cached length K with remainder(K) <= rel_tol * head sum."""
-    budget = DEFAULT_TERM_BUDGET if budget is None else int(budget)
-    psi._ensure(64)
-    while True:
-        vals, suf = psi._cache
-        C = len(vals)
-        head = suf[0]
-        rem = psi._tail_remainder(C)
-        if rem <= rel_tol * head or (head == 0.0 and rem == 0.0):
-            return C
-        _grow_or_raise(psi, 1, budget, "truncation_order")
+                     budget: int | None = None, n: int = 1) -> int:
+    """Smallest K >= n with _tail_remainder(K) <= rel_tol * T, where T is
+    tail_sum(psi, n, rel_tol).value (T = 1 when that tail is 0, so the
+    target is rel_tol itself): the certified cutoff of the kernel tail
+    sum_{n<=k<=K} psi(k) cos(kt + c), relative to tail_sum(n).
+
+    The cache grows in the certify-or-grow loop until its length
+    certifies, then K is found by bisection below it (every family's
+    remainder bound decreases in K), so K is not the cache length.
+    """
+    n = int(n)
+    tail = tail_sum(psi, n, rel_tol, budget).value
+    scale = tail if tail > 0.0 else 1.0
+
+    def compute():
+        C = len(psi._vals)
+        return scale, psi._tail_remainder(C), C
+
+    lo = n
+    hi = _certified(psi, n, rel_tol, budget, compute,
+                    "truncation_order").terms_used
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if psi._tail_remainder(mid) <= rel_tol * scale:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +545,42 @@ def _geom_tail(q: float, m: int) -> float:
 def _geom_ktail(q: float, m: int) -> float:
     # sum_{k>=m} k q^k
     return q ** m * (m - (m - 1) * q) / (1.0 - q) ** 2
+
+
+def _geom_weighted(q: float, n: int) -> float:
+    # (1/n) sum_{k>=1} k q^(k+n)
+    return q ** (n + 1) / (n * (1.0 - q) ** 2)
+
+
+def _geom_double(q: float, n: int, k_start: int) -> float:
+    # sum_{k>=k_start} sum_{nu >= n+k(2n-1)} q^nu
+    s = 2 * n - 1
+    return q ** (n + k_start * s) / ((1.0 - q) * (1.0 - q ** s))
+
+
+def _frozen_exponent_tail(u: float, m: float, p: float) -> float:
+    # sum_{k>K} k^(p-1) psi(k) <= u^(p-m)/(m-p) for psi(t) = (t+c)^(-m(t)),
+    # u = K+c, with the increasing exponent m frozen at its value at K;
+    # inf until m exceeds p
+    if m <= p + 1e-9:
+        return math.inf
+    return u ** (p - m) / (m - p)
+
+
+def _ratio_tail(psi_K: float, rho: float) -> float:
+    # sum_{k>K} psi(k) <= psi(K) rho/(1-rho) when every ratio
+    # psi(k+1)/psi(k), k >= K, is at most rho; inf until rho < 1
+    if rho >= 1.0:
+        return math.inf
+    return psi_K * rho / (1.0 - rho)
+
+
+def _ratio_ktail(K: int, psi_K: float, rho: float) -> float:
+    # sum_{k>K} k psi(k) <= psi(K) (K rho/(1-rho) + rho/(1-rho)^2) under
+    # the same ratio envelope
+    if rho >= 1.0:
+        return math.inf
+    return psi_K * (K * rho / (1.0 - rho) + rho / (1.0 - rho) ** 2)
 
 
 # Euler-Maclaurin for the Hurwitz zeta function: shift a to x = a + N with
@@ -718,11 +780,10 @@ class Geometric(PsiFamily):
         return _exact(_geom_tail(self.q, n))
 
     def _closed_weighted(self, n):
-        return _exact(self.q ** (n + 1) / (n * (1.0 - self.q) ** 2))
+        return _exact(_geom_weighted(self.q, n))
 
     def _closed_double(self, n, k_start):
-        q, s = self.q, 2 * n - 1
-        return _exact(q ** (n + k_start * s) / ((1.0 - q) * (1.0 - q ** s)))
+        return _exact(_geom_double(self.q, n, k_start))
 
     def _lambda_analytic(self, t):
         return 1.0 / math.log(1.0 / self.q)
@@ -775,32 +836,21 @@ class GenPoisson(PsiFamily):
     def _ktail_remainder(self, K):
         return self._ibp(K, 1) + self._ibp(K, 0)
 
-    def _q(self):
-        return math.exp(-self.alpha)
-
+    # r = 1 is Geometric(q) with q = ratio_limit = exp(-alpha)
     def _closed_tail(self, n):
-        if self.r != 1.0:
-            return None
-        return _exact(_geom_tail(self._q(), n))
+        return _exact(_geom_tail(self.ratio_limit, n)) if self.r == 1.0 else None
 
     def _closed_weighted(self, n):
-        if self.r != 1.0:
-            return None
-        q = self._q()
-        return _exact(q ** (n + 1) / (n * (1.0 - q) ** 2))
+        return _exact(_geom_weighted(self.ratio_limit, n)) if self.r == 1.0 else None
 
     def _closed_double(self, n, k_start):
-        if self.r != 1.0:
-            return None
-        q, s = self._q(), 2 * n - 1
-        return _exact(q ** (n + k_start * s) / ((1.0 - q) * (1.0 - q ** s)))
+        return (_exact(_geom_double(self.ratio_limit, n, k_start))
+                if self.r == 1.0 else None)
 
     def _lambda_analytic(self, t):
         return t ** (1.0 - self.r) / (self.alpha * self.r)
 
-    def _eps_sup(self, n, q):
-        # r = 1: the ratio is exactly q for every k
-        return 0.0, True
+    _eps_sup = Geometric._eps_sup
 
 
 class LogLogPower(PsiFamily):
@@ -824,16 +874,10 @@ class LogLogPower(PsiFamily):
         return np.exp(-np.log(lu) * lu)
 
     def _tail_remainder(self, K):
-        m = math.log(math.log(K + 2.0))
-        if m <= 1.0 + 1e-9:
-            return math.inf
-        return (K + 2.0) ** (1.0 - m) / (m - 1.0)
+        return _frozen_exponent_tail(K + 2.0, math.log(math.log(K + 2.0)), 1.0)
 
     def _ktail_remainder(self, K):
-        m = math.log(math.log(K + 2.0))
-        if m <= 2.0 + 1e-9:
-            return math.inf
-        return (K + 2.0) ** (2.0 - m) / (m - 2.0)
+        return _frozen_exponent_tail(K + 2.0, math.log(math.log(K + 2.0)), 2.0)
 
     def _lambda_analytic(self, t):
         u = t + 2.0
@@ -853,16 +897,10 @@ class ExpLogSquared(PsiFamily):
         return np.exp(-np.log(k + 1.0) ** 2)
 
     def _tail_remainder(self, K):
-        m = math.log(K + 1.0)
-        if m <= 1.0 + 1e-9:
-            return math.inf
-        return (K + 1.0) ** (1.0 - m) / (m - 1.0)
+        return _frozen_exponent_tail(K + 1.0, math.log(K + 1.0), 1.0)
 
     def _ktail_remainder(self, K):
-        m = math.log(K + 1.0)
-        if m <= 2.0 + 1e-9:
-            return math.inf
-        return (K + 1.0) ** (2.0 - m) / (m - 2.0)
+        return _frozen_exponent_tail(K + 1.0, math.log(K + 1.0), 2.0)
 
     def _lambda_analytic(self, t):
         return (t + 1.0) / (2.0 * math.log(t + 1.0))
@@ -932,16 +970,10 @@ class PolyharmonicPoisson(PsiFamily):
         return self.q * (1.0 + 1.0 / K) ** (self.l - 1)
 
     def _tail_remainder(self, K):
-        rho = self._rho(K)
-        if rho >= 1.0:
-            return math.inf
-        return self.value(K) * rho / (1.0 - rho)
+        return _ratio_tail(self.value(K), self._rho(K))
 
     def _ktail_remainder(self, K):
-        rho = self._rho(K)
-        if rho >= 1.0:
-            return math.inf
-        return self.value(K) * (K * rho / (1.0 - rho) + rho / (1.0 - rho) ** 2)
+        return _ratio_ktail(K, self.value(K), self._rho(K))
 
     def _eps_sup(self, n, q):
         kp = max(4 * n, 4096)
@@ -983,12 +1015,10 @@ class AnalyticSech(PsiFamily):
         return self.q * (1.0 + q2k) / (1.0 + q2k * self.q * self.q)
 
     def _tail_remainder(self, K):
-        rho = self._ratio(K)
-        return self.value(K) * rho / (1.0 - rho)
+        return _ratio_tail(self.value(K), self._ratio(K))
 
     def _ktail_remainder(self, K):
-        rho = self._ratio(K)
-        return self.value(K) * (K * rho / (1.0 - rho) + rho / (1.0 - rho) ** 2)
+        return _ratio_ktail(K, self.value(K), self._ratio(K))
 
     def _eps_sup(self, n, q):
         return self._ratio(n) - q, True

@@ -176,10 +176,10 @@ def dirichlet(n: int, t):
 def kernel_eval(spec: KernelSpec, t: float, rel_tol: float = 1e-12) -> CertifiedSum:
     """Kernel value sum_{k<=K} psi(k) cos(kt - beta*pi/2) with certified cutoff.
 
-    K comes from the tail certification at rel_tol (relative to the full
-    head sum of psi); the remainder bound sum_{k>K} psi(k) dominates the
-    dropped signed terms, so the true value lies within
-    value +- remainder_bound.
+    K = truncation_order(psi, rel_tol), the smallest cutoff certified at
+    rel_tol relative to the full head sum tail_sum(1); the remainder bound
+    sum_{k>K} psi(k) dominates the dropped signed terms, so the true value
+    lies within value +- remainder_bound.
     """
     K = truncation_order(spec.psi, rel_tol)
     ks = np.arange(1.0, K + 1.0)
@@ -242,7 +242,9 @@ def convolve_quadrature(spec: KernelSpec, phi, x: float, M: int,
     """mean(phi) + (1/pi) int_0^{2pi} K_beta(x-t) phi(t) dt by the periodic
     trapezoid rule on M uniform points (spectrally accurate for smooth phi).
 
-    The independent slow route: tests pit it against psi_integral.
+    The kernel is cut at truncation_order(psi, rel_tol), as in
+    kernel_eval.  The independent slow route: tests pit it against
+    psi_integral.
     """
     if M < 4:
         raise ValueError("M must be >= 4")

@@ -38,11 +38,13 @@ from psikern import (
     thm2_sup_bracket,
     thm3_bracket,
     tail_sum,
+    truncation_order,
     weighted_tail,
 )
 from psikern import bounds
-from psikern.bounds import _evaluate, _grid_profile, _tail_kernel_setup
-from psikern.errors import HypothesisUnmet
+from psikern import psi as psi_module
+from psikern.bounds import _evaluate, _grid_profile
+from psikern.errors import HypothesisUnmet, SlowConvergence
 
 DUALITY_GEO_ORACLE = 0.135249244610419152
 
@@ -271,6 +273,13 @@ def test_duality_at_node_is_zero_interval():
     assert abs(iv.lo) < 1e-12 and abs(iv.hi) < 1e-12
 
 
+def _kernel_tail(psi, n):
+    """k = n..K and the weights psi(k) of the kernel tail that
+    duality_sup_batch sums at its default rel_tol."""
+    K = max(n + 8, truncation_order(psi, 1e-12, n=n))
+    return np.arange(n, K + 1), psi.head(K)[n - 1:]
+
+
 SWEEP_FAMILIES = (
     {"kind": "geometric", "q": 0.5},
     {"kind": "gen_poisson", "alpha": 1.0, "r": 0.5},
@@ -284,7 +293,7 @@ def test_duality_grid_fft_matches_dense_tables():
     for spec in SWEEP_FAMILIES:
         psi = psi_from_dict(dict(spec))
         for n in (2, 16, 64):
-            ks, vals, _ = _tail_kernel_setup(psi, n, 1e-12)
+            ks, vals = _kernel_tail(psi, n)
             M = max(16 * n, 256)
             longer_than_grid += len(ks) > M
             t = 2 * math.pi * np.arange(M) / M
@@ -300,7 +309,7 @@ def test_duality_polish_sums_match_dense_tables():
     for spec in SWEEP_FAMILIES:
         psi = psi_from_dict(dict(spec))
         for n in (2, 16, 64):
-            ks, vals, _ = _tail_kernel_setup(psi, n, 1e-12)
+            ks, vals = _kernel_tail(psi, n)
             ts = rng.uniform(-0.1, 2 * math.pi + 0.1, 40)
             gam = rng.uniform(0.0, 2 * math.pi, 40)
             sig = rng.choice([-1.0, 1.0], 40)
@@ -322,6 +331,17 @@ def test_duality_batch_rejects_bad_xs():
             duality_sup_batch(psi, 0.0, 4, [0.1, bad])
         with pytest.raises(ValueError, match="finite"):
             duality_sup(psi, 0.0, 4, bad)
+
+
+def test_duality_kernel_cutoff_stays_within_the_budget(monkeypatch):
+    """Power(2.05) needs about 1e11 terms for the kernel cutoff at the
+    default rel_tol: the cache stops at the term budget and the call
+    raises."""
+    monkeypatch.setattr(psi_module, "DEFAULT_TERM_BUDGET", 5000)
+    psi = Power(2.05)
+    with pytest.raises(SlowConvergence):
+        duality_sup(psi, 0.0, 4, 0.3)
+    assert len(psi._vals) <= 5000
 
 
 def _dense_grid_selection(V2, best0, best1, lift, tol):
@@ -371,7 +391,7 @@ def test_duality_grid_selection_matches_dense_reference(monkeypatch):
         duality_sup_batch(psi, 0.0, n, x)
         rec = calls[-1]
         # the full product over both sides; its sigma = -1 rows are -V
-        ks, vals, _ = _tail_kernel_setup(psi, n, 1e-12)
+        ks, vals = _kernel_tail(psi, n)
         phase = np.exp(1j * gamma_phase(n, np.asarray(x), 0.0).gamma_n)
         M = rec["V"].shape[1]
         V2 = np.outer(np.concatenate([phase, -phase]),
@@ -398,7 +418,7 @@ def test_duality_shared_kernel_sums_are_bit_identical(monkeypatch):
     for make in (lambda: GenPoisson(1.0, 0.5), lambda: EvenOdd(0.9, 0.5)):
         for n in (4, 23):
             # repeated points, and a single distinct point at every entry
-            ks, vals, _ = _tail_kernel_setup(make(), n, 1e-12)
+            ks, vals = _kernel_tail(make(), n)
             W = np.stack([vals, ks * vals, ks * (ks * vals)])
             rot = np.exp(1j * rng.uniform(0.0, 2 * math.pi, 6))
             for ts in (rng.uniform(0.0, 2 * math.pi, 3)[[0, 1, 0, 2, 1, 0]],

@@ -184,11 +184,22 @@ def test_cli_verify_and_exit_codes(tmp_path, capsys):
     assert rc == 2
 
 
-def test_cli_lebesgue_and_bounds(capsys):
+def test_cli_lebesgue_and_bounds(capsys, tmp_path):
     rc = cli_main(["lebesgue", "--order", "6", "--grid", "64"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "max" in out and "node_value" in out
+
+    path = tmp_path / "leb.csv"
+    rc = cli_main(["lebesgue", "--order", "4", "--grid", "4",
+                   "--out-csv", str(path)])
+    assert rc == 0
+    text = path.read_text()
+    assert "np.float64(" not in text
+    got = list(csv.reader(text.splitlines()))
+    assert got[0] == ["x", "lebesgue", "residual"] and len(got) == 5
+    assert all(len(r) == 3 and all(math.isfinite(float(c)) for c in r)
+               for r in got[1:])
 
     rc = cli_main(["bounds", "--psi", '{"kind": "geometric", "q": 0.5}',
                    "--order", "5", "--beta", "0.0", "--E", "1.0",

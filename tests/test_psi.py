@@ -188,6 +188,11 @@ def test_slow_convergence_reports_terms():
     with pytest.raises(SlowConvergence) as exc:
         weighted_tail(psi, 3, rel_tol=1e-12, budget=10_000)
     assert exc.value.terms_used >= 10_000
+    assert len(psi._vals) <= 10_000
+    # the power double tail counts closed-form blocks against the budget
+    with pytest.raises(SlowConvergence) as exc:
+        double_tail(Power(2.05), 3, rel_tol=1e-15, budget=100)
+    assert exc.value.terms_used == 100
 
 
 def test_limit_ratio_zero_tail_raises():
@@ -297,9 +302,20 @@ def test_lemma1_small_n(make):
 
 
 def test_truncation_order_certifies():
-    psi = Geometric(0.5)
-    K = truncation_order(psi, rel_tol=1e-10)
-    assert psi._tail_remainder(K) <= 1e-10 * tail_sum(psi, 1).hi
+    # K is the smallest cutoff >= n whose remainder bound is within rel_tol
+    # of tail_sum(n) (of 1 when that tail is 0), also on a cache that is
+    # already longer than K
+    for make in ALL_FAMILIES:
+        psi = make()
+        rel = max(1e-10, psi.default_rel_tol)
+        for n in (1, 4, 17):
+            K = truncation_order(psi, rel_tol=rel, n=n)
+            T = tail_sum(psi, n, rel).value
+            target = rel * T if T > 0.0 else rel
+            assert K >= n
+            assert psi._tail_remainder(K) <= target, (psi.label(), n, K)
+            assert K == n or psi._tail_remainder(K - 1) > target, \
+                (psi.label(), n, K)
 
 
 def test_even_odd_parity_structure():
