@@ -9,12 +9,16 @@ with p ranging over order-(n-1) polynomials (2n-1 free coefficients).
 
 best_l1 runs an in-repo revised simplex (deterministic pivot order,
 Dantzig pricing with a permanent switch to Bland's rule if the objective
-stalls, so degenerate bases cannot cycle).  Its start basis is the
-split-residual identity, feasible outright, so it needs no Phase I.
-Dantzig pivots take the Barrodale-Roberts long step (SIAM J. Numer. Anal.
-10, 1973): one pivot passes every residual breakpoint at which the
-objective still falls, flipping those residuals' signs, so far fewer
-pivots reach the optimum.  A fit exact to roundoff stops at that floor
+stalls, so degenerate bases cannot cycle).  Its start is a crash basis:
+f interpolated at 2n-1 grid rows, one per arc, where a least-squares fit
+is closest to f, with the signs of the coefficients and residuals chosen
+so the basis is feasible outright and needs no Phase I.  Only the
+coefficient columns and the residuals of the interpolation rows are
+priced, since a free residual row has dual +-1 and its columns can never
+enter.  Dantzig pivots take the Barrodale-Roberts long step (SIAM J.
+Numer. Anal. 10, 1973): one pivot passes every residual breakpoint at
+which the objective still falls, flipping those residuals' signs, so far
+fewer pivots reach the optimum.  A fit exact to roundoff stops at that floor
 instead of pivoting among residual signs that are noise.
 
 best_uniform runs the Stiefel reference exchange.  Order-(n-1)
@@ -99,6 +103,20 @@ def _l1_revised(Phi: np.ndarray, fv: np.ndarray,
     -Phi_j), 2d+i is u_i, 2d+M+i is v_i.  Returns (c, duals, iterations,
     sum |f - Phi c|).
 
+    The start is a crash basis (Bixby, ORSA J. Computing 4, 1992): the
+    full coefficient block, interpolating f at one row of each of d equal
+    arcs of the grid, the row where the least-squares fit is closest to
+    f.  On the uniform grid the columns of Phi are orthogonal, so that fit
+    is one product.  The rows are distinct points of a Haar space, so the
+    block is nonsingular; each coefficient enters with its own sign and
+    each residual with the sign of f - Phi c, so the basis is feasible and
+    needs no Phase I.
+
+    A free row has y = +-1, so its u and v price at 0 or 2 and can never
+    enter: only the 2d coefficient columns and the residuals of the block
+    rows are priced, in code order, so the stable sort and Bland's
+    tie-break pick the column that pricing every column would.
+
     Dantzig pivots take the Barrodale-Roberts long step.  Along the
     entering ray the objective is convex piecewise linear: a basic u_i
     (v_i) reaching zero need not leave, since continuing past it swaps it
@@ -120,18 +138,26 @@ def _l1_revised(Phi: np.ndarray, fv: np.ndarray,
     """
     M, d = Phi.shape
     PhiT = np.ascontiguousarray(Phi.T)
-    sigma = np.where(fv >= 0.0, 1.0, -1.0)      # +1: u_i basic, -1: v_i basic
-    in_F = np.ones(M, dtype=bool)               # rows whose basic var is residual
-    coeff_vars: list[int] = []                  # basic coefficient var codes
     fscale = float(np.max(np.abs(fv)))
     obj_floor = 1e-13 * M * fscale              # roundoff level of sum|r|
+
+    # crash basis: one interpolation row per arc, see above
+    c_ls = (PhiT @ fv) / np.einsum("ij,ij->i", PhiT, PhiT)
+    dev = np.abs(fv - c_ls @ PhiT)
+    edges = (np.arange(d + 1) * M) // d
+    rows = [lo + int(np.argmin(dev[lo:hi]))
+            for lo, hi in zip(edges[:-1], edges[1:])]
+    c0 = _block_solve(Phi[rows], fv[rows], 0)
+    coeff_vars = [j if c0[j] >= 0.0 else d + j for j in range(d)]
+    in_F = np.ones(M, dtype=bool)               # rows whose basic var is residual
+    in_F[rows] = False
+    sigma = np.where(fv >= c0 @ PhiT, 1.0, -1.0)  # +1: u_i basic, -1: v_i basic
 
     bland = exact = False
     since_improve = 0
     prev_obj = math.inf
     for it in range(max_iter):
         P = np.flatnonzero(~in_F)
-        F = np.flatnonzero(in_F)
         p = len(coeff_vars)
         # basic coefficient columns are sgn * Phi[:, col]
         cv = np.asarray(coeff_vars, dtype=np.int64)
@@ -139,35 +165,44 @@ def _l1_revised(Phi: np.ndarray, fv: np.ndarray,
         A_P = Phi[np.ix_(P, col)] * sgn
         # duals: +-1 on free rows, interpolation system on active rows
         y = np.where(in_F, sigma, 0.0)
-        y[P] = _block_solve(A_P.T, -sgn * (PhiT @ y)[col], it)
         g = PhiT @ y
-        z_all = np.concatenate([-g, g, 1.0 - y, 1.0 + y])
-        negs = np.flatnonzero(z_all < -REDCOST_TOL)
+        y[P] = _block_solve(A_P.T, -sgn * g[col], it)
+        g += PhiT[:, P] @ y[P]
+        z = np.concatenate([-g, g, 1.0 - y[P], 1.0 + y[P]])
+        codes = np.concatenate([np.arange(2 * d), 2 * d + P, 2 * d + M + P])
+        negs = np.flatnonzero(z < -REDCOST_TOL)
         if len(negs) == 0:
             break
         if not bland:                           # Dantzig: most negative first
-            negs = negs[np.argsort(z_all[negs], kind="stable")]
-        for q in negs:
-            # entering column in original coordinates
+            negs = negs[np.argsort(z[negs], kind="stable")]
+        for k in negs:
+            # entering column in original coordinates; a block row's unit
+            # column is zero on the free rows
+            q = int(codes[k])
             if q < 2 * d:
                 a = PhiT[q % d] if q < d else -PhiT[q % d]
+                a_P = a[P]
             else:
-                a = np.zeros(M)
-                a[(q - 2 * d) % M] = 1.0 if q < 2 * d + M else -1.0
+                a = 0.0
+                a_P = np.zeros(p)
+                a_P[np.searchsorted(P, (q - 2 * d) % M)] = \
+                    1.0 if q < 2 * d + M else -1.0
             # basic values and tableau column t = B^{-1} a, both through
-            # the block: the coefficients interpolate on the P rows
-            X = _block_solve(A_P, np.column_stack([fv[P], a[P]]), it)
+            # the block: the coefficients interpolate on the P rows.  Basis
+            # position p + i is the residual of free row i
+            X = _block_solve(A_P, np.column_stack([fv[P], a_P]), it)
             C = np.zeros((d, 2))
             C[col] = sgn[:, None] * X
             fit = C.T @ PhiT
-            tt = np.concatenate([X[:, 1], sigma[F] * (a[F] - fit[1, F])])
+            tt = np.concatenate([X[:, 1],
+                                 np.where(in_F, sigma * (a - fit[1]), 0.0)])
             pos = np.flatnonzero(tt > PIVOT_TOL)
             if len(pos):
                 break
         else:
             raise SolverStall("no L1 entering column has a pivot above "
                               f"{PIVOT_TOL}", iterations=it)
-        w = sigma[F] * (fv[F] - fit[0, F])
+        w = np.where(in_F, sigma * (fv - fit[0]), 0.0)
         obj = float(np.sum(w))
         # progress is judged on the scale of f, so tiny data is not stalled
         if obj < prev_obj - 1e-15 * (fscale + abs(prev_obj)):
@@ -187,28 +222,28 @@ def _l1_revised(Phi: np.ndarray, fv: np.ndarray,
         if bland:
             best = float(np.min(ratios))
             tied = pos[ratios <= best + 1e-300 + 1e-12 * best]
-            codes = np.concatenate([cv, np.where(sigma[F] > 0, 2 * d + F,
-                                                 2 * d + M + F)])
-            r = int(tied[np.argmin(codes[tied])])
+            basic = np.concatenate([cv, np.where(sigma > 0, 2 * d, 2 * d + M)
+                                    + np.arange(M)])
+            r = int(tied[np.argmin(basic[tied])])
             passed = pos[:0]
         else:
             # long step: the leaving breakpoint is the first whose slope
             # is nonnegative (argmax gives 0, the short step, if roundoff
             # leaves every slope negative)
             br = pos[np.argsort(ratios, kind="stable")]
-            slope = z_all[q] + np.cumsum(np.where(br >= p, 2.0 * tt[br], 0.0))
-            k = int(np.argmax(slope >= -REDCOST_TOL))
-            r, passed = int(br[k]), br[:k]
+            slope = z[k] + np.cumsum(np.where(br >= p, 2.0 * tt[br], 0.0))
+            j = int(np.argmax(slope >= -REDCOST_TOL))
+            r, passed = int(br[j]), br[:j]
         for j in passed[passed < p]:
             coeff_vars[j] = (coeff_vars[j] + d) % (2 * d)
-        sigma[F[passed[passed >= p] - p]] *= -1.0
+        sigma[passed[passed >= p] - p] *= -1.0
         # basis exchange: position r of the basis leaves, q enters
         if r < p:
             del coeff_vars[r]
         else:
-            in_F[F[r - p]] = False
+            in_F[r - p] = False
         if q < 2 * d:
-            coeff_vars.append(int(q))
+            coeff_vars.append(q)
         else:
             row = (q - 2 * d) % M
             in_F[row] = True

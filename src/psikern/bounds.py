@@ -30,6 +30,7 @@ import numpy as np
 from .errors import HypothesisUnmet
 from .interp import sine_factor
 from .psi import (
+    Geometric,
     PsiFamily,
     alpha_lambda,
     double_tail,
@@ -164,18 +165,14 @@ class PoissonBounds(NamedTuple):
 
 
 def poisson_bounds(alpha: float, n: int, x: float, E: float) -> PoissonBounds:
-    """Closed forms for the geometric family exp(-alpha k): the deviation
-    upper bound and the sup bracket, both scaled by E."""
+    """thm1_rhs and the thm2 sup bracket for the geometric family
+    exp(-alpha k), both scaled by E."""
     if alpha <= 0.0:
         raise ValueError("alpha must be > 0")
-    E = _check_E(E)
-    q = math.exp(-alpha)
-    s = sine_factor(n, x)
-    rhs = s * q ** n / ((1.0 - q) * (1.0 - q ** (2 * n - 1))) * E
-    T = q ** n / (1.0 - q)
-    W = q ** (n + 1) / (n * (1.0 - q) ** 2)
-    bracket = Interval(s * (T - (1.0 + PI) * W) * E, s * (T + W) * E)
-    return PoissonBounds(rhs, bracket)
+    psi = Geometric(math.exp(-alpha))
+    rhs = thm1_rhs(psi, n, x, E)
+    iv = thm2_sup_bracket(psi, 0.0, n, x)
+    return PoissonBounds(rhs, Interval(iv.lo * E, iv.hi * E))
 
 
 def dq_bound(psi: PsiFamily, n: int, x: float, E: float,

@@ -252,7 +252,7 @@ class PsiFamily:
 # ---------------------------------------------------------------------------
 
 
-def _certified(psi, n, rel_tol, budget, compute, what):
+def _certified(psi, n, rel_tol, budget, compute, what, rem_at=None):
     """The one loop that grows a family's cache until a majorant certifies.
 
     compute() reads one cache snapshot and returns (value, remainder,
@@ -260,6 +260,12 @@ def _certified(psi, n, rel_tol, budget, compute, what):
     (or both are 0).  The cache starts at n + 64 terms and doubles, never
     past budget; a cache at the budget that still does not certify raises
     SlowConvergence.
+
+    rem_at(C), when given, is the remainder at cache length C, nonincreasing
+    in C.  The value at any length is at most value + remainder now, so if
+    rem_at(budget) already exceeds rel_tol times that, no length within the
+    budget can certify and the loop raises at once, reporting the budget
+    as the terms shown not to certify.
     """
     rel_tol = psi.default_rel_tol if rel_tol is None else float(rel_tol)
     budget = DEFAULT_TERM_BUDGET if budget is None else int(budget)
@@ -271,11 +277,12 @@ def _certified(psi, n, rel_tol, budget, compute, what):
         if (rem <= rel_tol * value) or (value == 0.0 and rem == 0.0):
             return CertifiedSum(float(value), float(rem), int(used))
         have = len(psi._vals)
-        if have >= budget:
+        if have >= budget or (rem_at is not None
+                              and rem_at(budget) > rel_tol * (value + rem)):
             raise SlowConvergence(
                 f"{psi.label()}: {what} at n={n} did not certify within "
                 f"{budget} cached terms; relax rel_tol or raise the budget",
-                terms_used=have,
+                terms_used=max(have, budget),
             )
         # the cache holds at least n + 64 terms here, so doubling also
         # reaches past n + 128
@@ -294,7 +301,8 @@ def tail_sum(psi: PsiFamily, n: int, rel_tol: float | None = None,
         C = len(vals)
         return suf[n - 1], psi._tail_remainder(C), C - n + 1
 
-    return _certified(psi, int(n), rel_tol, budget, compute, "tail_sum")
+    return _certified(psi, int(n), rel_tol, budget, compute, "tail_sum",
+                      psi._tail_remainder)
 
 
 def weighted_tail(psi: PsiFamily, n: int, rel_tol: float | None = None,
@@ -313,7 +321,8 @@ def weighted_tail(psi: PsiFamily, n: int, rel_tol: float | None = None,
         value = float(np.dot(w, vals[n:])) / n
         return value, psi._ktail_remainder(C) / n, C - n
 
-    return _certified(psi, n, rel_tol, budget, compute, "weighted_tail")
+    return _certified(psi, n, rel_tol, budget, compute, "weighted_tail",
+                      lambda C: psi._ktail_remainder(C) / n)
 
 
 def double_tail(psi: PsiFamily, n: int, rel_tol: float | None = None,
@@ -416,8 +425,8 @@ def truncation_order(psi: PsiFamily, rel_tol: float = 1e-12,
         return scale, psi._tail_remainder(C), C
 
     lo = n
-    hi = _certified(psi, n, rel_tol, budget, compute,
-                    "truncation_order").terms_used
+    hi = _certified(psi, n, rel_tol, budget, compute, "truncation_order",
+                    psi._tail_remainder).terms_used
     while lo < hi:
         mid = (lo + hi) // 2
         if psi._tail_remainder(mid) <= rel_tol * scale:

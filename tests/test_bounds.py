@@ -167,19 +167,25 @@ def test_array_intervals():
 
 
 def test_poisson_closed_forms_match_generic():
-    """Dual route: the geometric specialization must agree with the
-    generic certified machinery at matching q = e^{-alpha}."""
+    """Dual route: geometric closed forms for q = e^{-alpha}, the double
+    tail q^n / ((1-q)(1-q^(2n-1))), the tail T = q^n / (1-q) and the
+    weighted tail W = q^(n+1) / (n (1-q)^2), must agree with
+    poisson_bounds, which takes them from the generic certified sums."""
+    E = 1.3
     for alpha in (0.5, 1.0, 2.0):
-        psi = Geometric(math.exp(-alpha))
+        q = math.exp(-alpha)
         for n in (1, 3, 10, 50):
             for x in (0.35, 1.9):
-                pb = poisson_bounds(alpha, n, x, 1.3)
-                assert pb.rhs == pytest.approx(
-                    thm1_rhs(psi, n, x, 1.3), rel=1e-12, abs=1e-300)
-                # the closed bracket carries the E scale; thm2's does not
-                iv = thm2_sup_bracket(psi, 0.0, n, x)
-                assert pb.bracket.lo == pytest.approx(1.3 * iv.lo, rel=1e-12, abs=1e-300)
-                assert pb.bracket.hi == pytest.approx(1.3 * iv.hi, rel=1e-12, abs=1e-300)
+                pb = poisson_bounds(alpha, n, x, E)
+                s = sine_factor(n, x)
+                rhs = s * q ** n / ((1.0 - q) * (1.0 - q ** (2 * n - 1))) * E
+                T = q ** n / (1.0 - q)
+                W = q ** (n + 1) / (n * (1.0 - q) ** 2)
+                assert pb.rhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
+                assert pb.bracket.lo == pytest.approx(
+                    s * (T - (1.0 + math.pi) * W) * E, rel=1e-12, abs=1e-300)
+                assert pb.bracket.hi == pytest.approx(
+                    s * (T + W) * E, rel=1e-12, abs=1e-300)
 
 
 def test_duality_matches_frozen_oracle():
@@ -342,6 +348,16 @@ def test_duality_kernel_cutoff_stays_within_the_budget(monkeypatch):
     with pytest.raises(SlowConvergence):
         duality_sup(psi, 0.0, 4, 0.3)
     assert len(psi._vals) <= 5000
+
+
+def test_duality_cutoff_refuses_early():
+    """Power(2.5) needs about 3.5e8 terms for the kernel cutoff at n = 4, so
+    the remainder at the 1e7-term budget already rules every length out:
+    the call raises before the cache grows."""
+    psi = Power(2.5)
+    with pytest.raises(SlowConvergence):
+        duality_sup(psi, 0.0, 4, 0.3)
+    assert len(psi._vals) <= 2 * (4 + 64)
 
 
 def _dense_grid_selection(V2, best0, best1, lift, tol):
