@@ -7,9 +7,11 @@ Both problems are discretized on a uniform M-point grid:
 
 with p ranging over order-(n-1) polynomials (2n-1 free coefficients).
 
-best_l1 runs an in-repo revised simplex (deterministic pivot order,
-Dantzig pricing with a permanent switch to Bland's rule if the objective
-stalls, so degenerate bases cannot cycle).  Its start is a crash basis:
+best_l1 runs an in-repo revised simplex with one pivot rule, Dantzig
+pricing in a deterministic order.  Degenerate bases cannot cycle: the
+pivots run on the data plus a fixed perturbation a tenth of the roundoff
+floor (Charnes, Econometrica 20, 1952), and the value and polynomial are
+computed from the data itself.  Its start is a crash basis:
 f interpolated at 2n-1 grid rows, one per arc, where a least-squares fit
 is closest to f, with the signs of the coefficients and residuals chosen
 so the basis is feasible outright and needs no Phase I.  Only the
@@ -40,7 +42,6 @@ from .trig import TrigPoly, _sample
 
 REDCOST_TOL = 1e-9
 PIVOT_TOL = 1e-10
-STALL_WINDOW = 200
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ def _block_solve(A: np.ndarray, b: np.ndarray, it: int) -> np.ndarray:
         raise SolverStall("singular L1 basis block", iterations=it)
 
 
-def _l1_revised(Phi: np.ndarray, fv: np.ndarray,
+def _l1_revised(Phi: np.ndarray, f0: np.ndarray,
                 max_iter: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Revised simplex for min sum(u+v) s.t. Phi c + u - v = f, u, v >= 0.
 
@@ -101,7 +102,7 @@ def _l1_revised(Phi: np.ndarray, fv: np.ndarray,
     per remaining row; every basis solve is then p x p with p <= d.
     Variable codes: j in [0, 2d) are the split coefficients (+Phi_j then
     -Phi_j), 2d+i is u_i, 2d+M+i is v_i.  Returns (c, duals, iterations,
-    sum |f - Phi c|).
+    sum |f0 - Phi c|).
 
     The start is a crash basis (Bixby, ORSA J. Computing 4, 1992): the
     full coefficient block, interpolating f at one row of each of d equal
@@ -114,8 +115,8 @@ def _l1_revised(Phi: np.ndarray, fv: np.ndarray,
 
     A free row has y = +-1, so its u and v price at 0 or 2 and can never
     enter: only the 2d coefficient columns and the residuals of the block
-    rows are priced, in code order, so the stable sort and Bland's
-    tie-break pick the column that pricing every column would.
+    rows are priced, in code order, so the stable sort picks the column
+    that pricing every column would.
 
     Dantzig pivots take the Barrodale-Roberts long step.  Along the
     entering ray the objective is convex piecewise linear: a basic u_i
@@ -124,7 +125,17 @@ def _l1_revised(Phi: np.ndarray, fv: np.ndarray,
     zero swaps +Phi_j for -Phi_j at no cost.  The step runs to the first
     breakpoint where the slope turns nonnegative; that variable leaves and
     every breakpoint before it flips.  One long step counts as one pivot.
-    Bland pivots, used once the objective stalls, take the short step.
+
+    Pivots run on f0 + delta, where delta_i is 1e-14 max|f0| times the
+    golden-ratio fraction of i mapped onto [-1, 1), so sum|delta| is at
+    most a tenth of the roundoff floor below.  On such generic data no
+    basic residual sits at zero, so pivots are not degenerate and Dantzig
+    pricing does not cycle (the perturbation method of Charnes,
+    Econometrica 20, 1952); the cap max_iter is the only guard on
+    termination.  The final c interpolates f0 itself on the optimal block
+    rows, and the returned sum is that of f0 - Phi c.  The duals depend
+    only on the basis, so |y| <= 1 and Phi^T y = 0 hold whatever the
+    right-hand side.
 
     An exact fit ends with every residual at roundoff, where their signs
     are noise and pivots would wander among them.  Once sum|r| is below
@@ -138,8 +149,11 @@ def _l1_revised(Phi: np.ndarray, fv: np.ndarray,
     """
     M, d = Phi.shape
     PhiT = np.ascontiguousarray(Phi.T)
-    fscale = float(np.max(np.abs(fv)))
+    fscale = float(np.max(np.abs(f0)))
     obj_floor = 1e-13 * M * fscale              # roundoff level of sum|r|
+    # the pivots run on f0 + delta, see above
+    gold = (np.arange(M) * (0.5 * (math.sqrt(5.0) - 1.0))) % 1.0
+    fv = f0 + 0.1 * obj_floor / M * (2.0 * gold - 1.0)
 
     # crash basis: one interpolation row per arc, see above
     c_ls = (PhiT @ fv) / np.einsum("ij,ij->i", PhiT, PhiT)
@@ -153,8 +167,7 @@ def _l1_revised(Phi: np.ndarray, fv: np.ndarray,
     in_F[rows] = False
     sigma = np.where(fv >= c0 @ PhiT, 1.0, -1.0)  # +1: u_i basic, -1: v_i basic
 
-    bland = exact = False
-    since_improve = 0
+    exact = False
     prev_obj = math.inf
     for it in range(max_iter):
         P = np.flatnonzero(~in_F)
@@ -173,9 +186,7 @@ def _l1_revised(Phi: np.ndarray, fv: np.ndarray,
         negs = np.flatnonzero(z < -REDCOST_TOL)
         if len(negs) == 0:
             break
-        if not bland:                           # Dantzig: most negative first
-            negs = negs[np.argsort(z[negs], kind="stable")]
-        for k in negs:
+        for k in negs[np.argsort(z[negs], kind="stable")]:
             # entering column in original coordinates; a block row's unit
             # column is zero on the free rows
             q = int(codes[k])
@@ -205,35 +216,22 @@ def _l1_revised(Phi: np.ndarray, fv: np.ndarray,
         w = np.where(in_F, sigma * (fv - fit[0]), 0.0)
         obj = float(np.sum(w))
         # progress is judged on the scale of f, so tiny data is not stalled
-        if obj < prev_obj - 1e-15 * (fscale + abs(prev_obj)):
-            since_improve = 0
-        elif obj <= obj_floor:                  # exact to roundoff, see above
-            y, exact = np.zeros(M), True
+        if obj <= obj_floor and \
+                obj >= prev_obj - 1e-15 * (fscale + abs(prev_obj)):
+            y, exact = np.zeros(M), True        # exact to roundoff, see above
             break
-        else:
-            since_improve += 1
-            if since_improve > STALL_WINDOW:
-                bland = True
         prev_obj = obj
         # roundoff can leave basic values at -1e-17; a negative ratio would
         # derail the pivot, so clamp before the ratio test
         xb = np.maximum(np.concatenate([X[:, 0], w]), 0.0)
         ratios = xb[pos] / tt[pos]
-        if bland:
-            best = float(np.min(ratios))
-            tied = pos[ratios <= best + 1e-300 + 1e-12 * best]
-            basic = np.concatenate([cv, np.where(sigma > 0, 2 * d, 2 * d + M)
-                                    + np.arange(M)])
-            r = int(tied[np.argmin(basic[tied])])
-            passed = pos[:0]
-        else:
-            # long step: the leaving breakpoint is the first whose slope
-            # is nonnegative (argmax gives 0, the short step, if roundoff
-            # leaves every slope negative)
-            br = pos[np.argsort(ratios, kind="stable")]
-            slope = z[k] + np.cumsum(np.where(br >= p, 2.0 * tt[br], 0.0))
-            j = int(np.argmax(slope >= -REDCOST_TOL))
-            r, passed = int(br[j]), br[:j]
+        # long step: the leaving breakpoint is the first whose slope is
+        # nonnegative (argmax gives 0, the short step, if roundoff leaves
+        # every slope negative)
+        br = pos[np.argsort(ratios, kind="stable")]
+        slope = z[k] + np.cumsum(np.where(br >= p, 2.0 * tt[br], 0.0))
+        j = int(np.argmax(slope >= -REDCOST_TOL))
+        r, passed = int(br[j]), br[:j]
         for j in passed[passed < p]:
             coeff_vars[j] = (coeff_vars[j] + d) % (2 * d)
         sigma[passed[passed >= p] - p] *= -1.0
@@ -253,8 +251,8 @@ def _l1_revised(Phi: np.ndarray, fv: np.ndarray,
             f"simplex did not reach reduced-cost tolerance {REDCOST_TOL}",
             iterations=max_iter)
     c = np.zeros(d)
-    c[col] = sgn * _block_solve(A_P, fv[P], it)
-    l1 = float(np.sum(np.abs(fv - Phi @ c)))
+    c[col] = sgn * _block_solve(A_P, f0[P], it)
+    l1 = float(np.sum(np.abs(f0 - Phi @ c)))
     if exact and l1 > obj_floor:
         raise SolverStall(f"exact-fit stop left sum|r| = {l1:.3g} above the "
                           f"roundoff floor {obj_floor:.3g}", iterations=it)

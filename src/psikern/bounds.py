@@ -240,8 +240,14 @@ def _trig_sums(ts: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
 
     Baby-step giant-step: with k = n + aB + b and 0 <= b < B ~ sqrt(K),
     e^{ikt} = e^{i(n+aB)t} e^{ibt}, so the len(ts) x K phase table becomes
-    two tables of about sqrt(K) columns and one matrix product.
+    two tables of about sqrt(K) columns and one matrix product.  A single
+    t is summed as two equal rows: numpy hands a one-row product to gemv,
+    which rounds differently from the gemm that sums two rows or more, so
+    each row's bits would depend on how many rows share the call.
     """
+    m = len(ts)
+    if m == 1:
+        ts = np.repeat(ts, 2)
     rows, K = weights.shape
     B = math.isqrt(K - 1) + 1
     L = -(-K // B)
@@ -252,7 +258,7 @@ def _trig_sums(ts: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
     baby = np.exp(1j * np.outer(ts, np.arange(B)))
     giant = np.exp(1j * np.outer(ts, n + B * np.arange(L)))
     inner = (baby @ blocks).reshape(len(ts), rows, L)
-    return np.einsum("trl,tl->rt", inner, giant)
+    return np.einsum("trl,tl->rt", inner, giant)[:, :m]
 
 
 def _evaluate(ts, rot, W, n):
@@ -261,12 +267,10 @@ def _evaluate(ts, rot, W, n):
 
     The problems of a batch share grid points and cell midpoints, so the
     kernel sums are taken once per distinct t; the rows of _trig_sums do
-    not depend on each other.  A single distinct t is summed at every
-    entry instead: numpy hands a one-row product to gemv, which rounds
-    differently from the gemm that sums two rows or more.
+    not depend on each other.
     """
     u, inv = np.unique(ts, return_inverse=True)
-    Z = _trig_sums(u, W, n)[:, inv] if len(u) > 1 else _trig_sums(ts, W, n)
+    Z = _trig_sums(u, W, n)[:, inv]
     return (rot * Z[0]).real, -(rot * Z[1]).imag, -(rot * Z[2]).real
 
 
