@@ -11,17 +11,19 @@ best_l1 runs an in-repo revised simplex with one pivot rule, Dantzig
 pricing in a deterministic order.  Degenerate bases cannot cycle: the
 pivots run on the data plus a fixed perturbation a tenth of the roundoff
 floor (Charnes, Econometrica 20, 1952), and the value and polynomial are
-computed from the data itself.  Its start is a crash basis:
-f interpolated at 2n-1 grid rows, one per arc, where a least-squares fit
-is closest to f, with the signs of the coefficients and residuals chosen
-so the basis is feasible outright and needs no Phase I.  Only the
-coefficient columns and the residuals of the interpolation rows are
-priced, since a free residual row has dual +-1 and its columns can never
-enter.  Dantzig pivots take the Barrodale-Roberts long step (SIAM J.
-Numer. Anal. 10, 1973): one pivot passes every residual breakpoint at
-which the objective still falls, flipping those residuals' signs, so far
-fewer pivots reach the optimum.  A fit exact to roundoff stops at that floor
-instead of pivoting among residual signs that are noise.
+computed from the data itself.  The 2n-1 coefficients are free and stay
+basic, so a basis is a set P of 2n-1 interpolation rows plus the signs
+of the residuals on the other, free rows, and a pivot swaps one row into
+P and one out.  The start is a crash basis: P holds one grid row per
+arc, where a least-squares fit is closest to f, and the signs are those
+of f minus its interpolant, so the basis is feasible outright and needs
+no Phase I.  Only the residuals of the rows in P are priced, since a
+free row has dual +-1 and its other residual can never enter.  Dantzig
+pivots take the Barrodale-Roberts long step (SIAM J. Numer. Anal. 10,
+1973): one pivot passes every free-row breakpoint at which the objective
+still falls, flipping those residuals' signs, so far fewer pivots reach
+the optimum.  A fit exact to roundoff stops at that floor instead of
+pivoting among residual signs that are noise.
 
 best_uniform runs the Stiefel reference exchange.  Order-(n-1)
 polynomials are a Haar space of dimension 2n-1 on the circle, so a
@@ -93,38 +95,39 @@ def _block_solve(A: np.ndarray, b: np.ndarray, it: int) -> np.ndarray:
         raise SolverStall("singular L1 basis block", iterations=it)
 
 
-def _l1_revised(Phi: np.ndarray, f0: np.ndarray,
-                max_iter: int) -> tuple[np.ndarray, np.ndarray, int]:
+def _l1_revised(Phi: np.ndarray, f0: np.ndarray, max_iter: int
+                ) -> tuple[np.ndarray, np.ndarray, int, float]:
     """Revised simplex for min sum(u+v) s.t. Phi c + u - v = f, u, v >= 0.
 
-    The residual columns are +-unit vectors, so the basis always splits
-    into a small block of coefficient columns (rows P) and one residual
-    per remaining row; every basis solve is then p x p with p <= d.
-    Variable codes: j in [0, 2d) are the split coefficients (+Phi_j then
-    -Phi_j), 2d+i is u_i, 2d+M+i is v_i.  Returns (c, duals, iterations,
+    The d coefficients c are free, so they stay basic throughout (Barrodale
+    and Roberts, SIAM J. Numer. Anal. 10, 1973).  The rest of the basis is
+    one residual per free row, u_i or v_i as sigma_i is +1 or -1, and the
+    basis is fully described by the set P of d interpolation rows, where
+    both residuals are zero, and the signs sigma on the free rows.  Every
+    basis solve is the d x d block Phi[P].  Returns (c, duals, iterations,
     sum |f0 - Phi c|).
 
-    The start is a crash basis (Bixby, ORSA J. Computing 4, 1992): the
-    full coefficient block, interpolating f at one row of each of d equal
-    arcs of the grid, the row where the least-squares fit is closest to
-    f.  On the uniform grid the columns of Phi are orthogonal, so that fit
-    is one product.  The rows are distinct points of a Haar space, so the
-    block is nonsingular; each coefficient enters with its own sign and
-    each residual with the sign of f - Phi c, so the basis is feasible and
-    needs no Phase I.
+    The start is a crash basis (Bixby, ORSA J. Computing 4, 1992): P holds
+    one row of each of d equal arcs of the grid, the row where the
+    least-squares fit is closest to f.  On the uniform grid the columns of
+    Phi are orthogonal, so that fit is one product.  The rows are distinct
+    points of a Haar space, so the block is nonsingular; each free row
+    takes the sign of f - Phi c, so the basis is feasible and needs no
+    Phase I.
 
-    A free row has y = +-1, so its u and v price at 0 or 2 and can never
-    enter: only the 2d coefficient columns and the residuals of the block
-    rows are priced, in code order, so the stable sort picks the column
-    that pricing every column would.
+    A free row has y = +-1, so its other residual prices at 0 or 2 and can
+    never enter: only the 2d residuals u_i, v_i of the rows in P are
+    priced, at 1 - y_i and 1 + y_i.  When one enters, the coefficients
+    move and the free residuals follow them; the coefficients are free, so
+    the ratio test runs over the free rows only.
 
     Dantzig pivots take the Barrodale-Roberts long step.  Along the
-    entering ray the objective is convex piecewise linear: a basic u_i
-    (v_i) reaching zero need not leave, since continuing past it swaps it
-    for v_i (u_i) and adds 2 t_i to the slope, and a coefficient reaching
-    zero swaps +Phi_j for -Phi_j at no cost.  The step runs to the first
-    breakpoint where the slope turns nonnegative; that variable leaves and
-    every breakpoint before it flips.  One long step counts as one pivot.
+    entering ray the objective is convex piecewise linear: a free row's
+    residual reaching zero need not leave, since continuing past it flips
+    sigma_i and adds 2 t_i to the slope.  The step runs to the first
+    breakpoint where the slope turns nonnegative; that row joins P, the
+    entering row leaves it, and every breakpoint before it flips.  One
+    long step counts as one pivot.
 
     Pivots run on f0 + delta, where delta_i is 1e-14 max|f0| times the
     golden-ratio fraction of i mapped onto [-1, 1), so sum|delta| is at
@@ -143,7 +146,7 @@ def _l1_revised(Phi: np.ndarray, f0: np.ndarray,
     returns y = 0, the dual point that certifies E >= 0.  That stop judges
     the objective from the basis block, which an ill-conditioned block can
     get wrong, so unless the returned c itself leaves sum|r| at the floor
-    it raises SolverStall instead of returning a wrong value.  A column priced
+    it raises SolverStall instead of returning a wrong value.  A row priced
     negative with no pivot above PIVOT_TOL is priced by roundoff, so the
     next candidate enters instead.
     """
@@ -162,8 +165,7 @@ def _l1_revised(Phi: np.ndarray, f0: np.ndarray,
     rows = [lo + int(np.argmin(dev[lo:hi]))
             for lo, hi in zip(edges[:-1], edges[1:])]
     c0 = _block_solve(Phi[rows], fv[rows], 0)
-    coeff_vars = [j if c0[j] >= 0.0 else d + j for j in range(d)]
-    in_F = np.ones(M, dtype=bool)               # rows whose basic var is residual
+    in_F = np.ones(M, dtype=bool)               # free rows
     in_F[rows] = False
     sigma = np.where(fv >= c0 @ PhiT, 1.0, -1.0)  # +1: u_i basic, -1: v_i basic
 
@@ -171,42 +173,24 @@ def _l1_revised(Phi: np.ndarray, f0: np.ndarray,
     prev_obj = math.inf
     for it in range(max_iter):
         P = np.flatnonzero(~in_F)
-        p = len(coeff_vars)
-        # basic coefficient columns are sgn * Phi[:, col]
-        cv = np.asarray(coeff_vars, dtype=np.int64)
-        col, sgn = cv % d, np.where(cv < d, 1.0, -1.0)
-        A_P = Phi[np.ix_(P, col)] * sgn
-        # duals: +-1 on free rows, interpolation system on active rows
+        A_P = Phi[P]
+        # duals: +-1 on free rows, and Phi^T y = 0 fixes them on P
         y = np.where(in_F, sigma, 0.0)
-        g = PhiT @ y
-        y[P] = _block_solve(A_P.T, -sgn * g[col], it)
-        g += PhiT[:, P] @ y[P]
-        z = np.concatenate([-g, g, 1.0 - y[P], 1.0 + y[P]])
-        codes = np.concatenate([np.arange(2 * d), 2 * d + P, 2 * d + M + P])
+        y[P] = _block_solve(A_P.T, -(PhiT @ y), it)
+        z = np.concatenate([1.0 - y[P], 1.0 + y[P]])
         negs = np.flatnonzero(z < -REDCOST_TOL)
         if len(negs) == 0:
             break
         for k in negs[np.argsort(z[negs], kind="stable")]:
-            # entering column in original coordinates; a block row's unit
-            # column is zero on the free rows
-            q = int(codes[k])
-            if q < 2 * d:
-                a = PhiT[q % d] if q < d else -PhiT[q % d]
-                a_P = a[P]
-            else:
-                a = 0.0
-                a_P = np.zeros(p)
-                a_P[np.searchsorted(P, (q - 2 * d) % M)] = \
-                    1.0 if q < 2 * d + M else -1.0
-            # basic values and tableau column t = B^{-1} a, both through
-            # the block: the coefficients interpolate on the P rows.  Basis
-            # position p + i is the residual of free row i
-            X = _block_solve(A_P, np.column_stack([fv[P], a_P]), it)
-            C = np.zeros((d, 2))
-            C[col] = sgn[:, None] * X
-            fit = C.T @ PhiT
-            tt = np.concatenate([X[:, 1],
-                                 np.where(in_F, sigma * (a - fit[1]), 0.0)])
+            # u (k < d) or v of row P[k % d] enters; its column is a unit
+            # vector on that block row and zero on the free rows
+            e = np.zeros(d)
+            e[k % d] = 1.0 if k < d else -1.0
+            # the coefficients and the tableau column, both through the
+            # block; on a free row the column is -sigma_i (Phi x)_i
+            X = _block_solve(A_P, np.column_stack([fv[P], e]), it)
+            fit = X.T @ PhiT
+            tt = np.where(in_F, -sigma * fit[1], 0.0)
             pos = np.flatnonzero(tt > PIVOT_TOL)
             if len(pos):
                 break
@@ -223,35 +207,22 @@ def _l1_revised(Phi: np.ndarray, f0: np.ndarray,
         prev_obj = obj
         # roundoff can leave basic values at -1e-17; a negative ratio would
         # derail the pivot, so clamp before the ratio test
-        xb = np.maximum(np.concatenate([X[:, 0], w]), 0.0)
-        ratios = xb[pos] / tt[pos]
-        # long step: the leaving breakpoint is the first whose slope is
-        # nonnegative (argmax gives 0, the short step, if roundoff leaves
-        # every slope negative)
+        ratios = np.maximum(w[pos], 0.0) / tt[pos]
+        # long step: the leaving row is the first breakpoint whose slope
+        # is nonnegative (argmax gives 0, the short step, if roundoff
+        # leaves every slope negative)
         br = pos[np.argsort(ratios, kind="stable")]
-        slope = z[k] + np.cumsum(np.where(br >= p, 2.0 * tt[br], 0.0))
+        slope = z[k] + np.cumsum(2.0 * tt[br])
         j = int(np.argmax(slope >= -REDCOST_TOL))
-        r, passed = int(br[j]), br[:j]
-        for j in passed[passed < p]:
-            coeff_vars[j] = (coeff_vars[j] + d) % (2 * d)
-        sigma[passed[passed >= p] - p] *= -1.0
-        # basis exchange: position r of the basis leaves, q enters
-        if r < p:
-            del coeff_vars[r]
-        else:
-            in_F[r - p] = False
-        if q < 2 * d:
-            coeff_vars.append(q)
-        else:
-            row = (q - 2 * d) % M
-            in_F[row] = True
-            sigma[row] = 1.0 if q < 2 * d + M else -1.0
+        sigma[br[:j]] *= -1.0
+        # row swap: the leaving free row joins P, the entering row leaves it
+        in_F[br[j]], in_F[P[k % d]] = False, True
+        sigma[P[k % d]] = 1.0 if k < d else -1.0
     else:
         raise SolverStall(
             f"simplex did not reach reduced-cost tolerance {REDCOST_TOL}",
             iterations=max_iter)
-    c = np.zeros(d)
-    c[col] = sgn * _block_solve(A_P, f0[P], it)
+    c = _block_solve(A_P, f0[P], it)
     l1 = float(np.sum(np.abs(f0 - Phi @ c)))
     if exact and l1 > obj_floor:
         raise SolverStall(f"exact-fit stop left sum|r| = {l1:.3g} above the "
@@ -263,8 +234,8 @@ def best_l1(f, n: int, M: int | None = None) -> ApproxResult:
     """Discrete best L1 approximation error (trapezoid-weighted) of f by
     order-(n-1) trigonometric polynomials on an M-point grid (default 64n).
 
-    LP formulation: Phi c + u - v = f with u, v >= 0 and free c split into
-    positive parts; min sum(u+v).  Always feasible; the weight 2*pi/M is
+    LP formulation: Phi c + u - v = f with u, v >= 0 and c free;
+    min sum(u+v).  Always feasible; the weight 2*pi/M is
     applied to the optimal objective so value approximates the integral.
     """
     t = _grid(n, M)

@@ -31,7 +31,7 @@ from .bounds import (
     thm2_sup_bracket,
 )
 from .errors import TrendViolation
-from .interp import interpolate, lebesgue_fn, nodes
+from .interp import deviation, lebesgue_fn
 from .psi import PsiFamily, limit_ratio, psi_from_dict, tail_sum
 from .trig import KernelSpec, TrigPoly, psi_integral
 
@@ -180,7 +180,7 @@ def verify_lebesgue(config: ExperimentConfig,
     slack slack_scale * (1 + |lhs| + |rhs|)."""
     cells = _cells(config)
     xg = _x_grid(config)
-    ents = []
+    cell_reports = []
     for psi, n in cells:
         # cached tail sums tighten as the cache grows, so a cell's bounds
         # are all taken here, before the corpus grows the caches: thm1 at
@@ -199,17 +199,15 @@ def verify_lebesgue(config: ExperimentConfig,
                 config.slack_scale * (1.0 + np.abs(thm2.hi)))
         # the cell's columns, thm1 at E = 1; the function's are filled in
         # per block
-        cell = BoundReport(psi.label(), config.beta, n, None, xg, None, None,
-                           rhs1, None, thm2.lo, thm2.hi, dual_lo, dual_hi,
-                           None, ok_dual)
-        ents.append((cell, nodes(n).nodes))
+        cell_reports.append(BoundReport(
+            psi.label(), config.beta, n, None, xg, None, None, rhs1, None,
+            thm2.lo, thm2.hi, dual_lo, dual_hi, None, ok_dual))
 
     blocks = []
     for ci, i, psi, n, phi, f in _corpus(config, cells):
-        cell, xk = ents[ci]
+        cell = cell_reports[ci]
         E = best_l1(phi, n, config.solver_grid).value
-        p = interpolate(f(xk), n)
-        lhs = np.abs(f(xg) - p(xg))
+        lhs = np.abs(deviation(f, n, xg))
         rhs1 = cell.rhs_thm1 * E
         blocks.append(cell._replace(
             phi_index=i, lhs=lhs, E=E, rhs_thm1=rhs1,
@@ -276,8 +274,7 @@ def classical_lebesgue_check(config: ExperimentConfig,
     for ci, i, psi, n, phi, f in _corpus(config, cells):
         Eu = best_uniform(f, n, config.solver_grid).value
         El = best_l1(phi, n, config.solver_grid).value
-        p = interpolate(f(nodes(n).nodes), n)
-        lhs = np.abs(f(xg) - p(xg))
+        lhs = np.abs(deviation(f, n, xg))
         rhs_c = (1.0 + lebesgue_fn(n, xg)) * Eu
         rhs1 = thm1_rhs(psi, n, xg, El)
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -1141,12 +1141,24 @@ class EvenOdd(PsiFamily):
         return _exact(block(m0) + block(m0 + s))
 
 
+def _is_geometric_majorant(m) -> bool:
+    """Whether m is {"geometric": {"K": int >= 1, "rho": float in (0, 1)}}."""
+    g = m.get("geometric") if isinstance(m, dict) and len(m) == 1 else None
+    if not (isinstance(g, dict) and g.keys() == {"K", "rho"}):
+        return False
+    K, rho = g["K"], g["rho"]
+    return (isinstance(K, (int, np.integer)) and not isinstance(K, bool)
+            and K >= 1 and isinstance(rho, (float, np.floating))
+            and 0.0 < rho < 1.0)
+
+
 class Tabulated(PsiFamily):
     """Finite table of values; psi(k) = 0 beyond the table.
 
-    An optional majorant dict ({"geometric": {"K": int, "rho": float}})
-    records a declared ratio guarantee; membership checks refuse to run
-    without one.  Eventually-zero sequences are treated as fastest-decay.
+    An optional majorant dict ({"geometric": {"K": int >= 1, "rho": float
+    in (0, 1)}}) records a declared ratio guarantee; any other majorant
+    raises ValueError, and membership checks refuse to run without one.
+    Eventually-zero sequences are treated as fastest-decay.
     """
 
     kind = "tabulated"
@@ -1159,6 +1171,10 @@ class Tabulated(PsiFamily):
             raise ValueError("tabulated family needs a nonempty 1-d value list")
         if np.any(vals < 0.0) or not np.all(np.isfinite(vals)):
             raise ValueError("tabulated values must be finite and >= 0")
+        if majorant is not None and not _is_geometric_majorant(majorant):
+            raise ValueError('majorant must be None or {"geometric": '
+                             '{"K": int >= 1, "rho": float in (0, 1)}}, '
+                             f"got {majorant!r}")
         super().__init__()
         self.table = vals
         self.majorant = majorant

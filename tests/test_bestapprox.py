@@ -277,6 +277,19 @@ def test_l1_matches_highs():
                                                  lo, hi)
 
 
+def test_l1_argmin_is_a_basic_solution():
+    """The coefficients stay basic, so the returned polynomial interpolates
+    f on the 2n-1 rows of the optimal block: |f - p| <= 1e-12 max|f| on at
+    least 2n-1 grid rows of every HiGHS case."""
+    for f, n, M in _highs_cases():
+        r = best_l1(f, n, M)
+        t = 2 * math.pi * np.arange(r.grid_size) / r.grid_size
+        fv = f(t)
+        res = np.abs(fv - r.argmin(t))
+        hits = int(np.count_nonzero(res <= 1e-12 * float(np.max(np.abs(fv)))))
+        assert hits >= 2 * n - 1, (n, r.grid_size, hits)
+
+
 def test_uniform_value_is_attained_and_minimal():
     """A neumann-kernel input on which a dense-tableau simplex returned
     3.80835e-5, below both its own argmin's error (3.81875e-5) and the

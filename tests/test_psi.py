@@ -283,6 +283,30 @@ def test_tabulated_without_majorant_refuses_class_check():
         class_check(Tabulated([1.0, 0.5, 0.2]), [2])
 
 
+@pytest.mark.parametrize("majorant", [
+    {}, "yes", {"geometric": {}}, {"geometric": {"K": 0, "rho": 0.5}},
+    {"geometric": {"K": 2, "rho": 1.0}}, {"geometric": {"K": 2.0, "rho": 0.5}},
+    {"geometric": {"K": True, "rho": 0.5}},
+    {"geometric": {"K": 2, "rho": 0.5, "extra": 1}},
+    {"geometric": {"K": 2, "rho": 0.5}, "power": {}}])
+def test_tabulated_refuses_a_malformed_majorant(majorant):
+    # the spec comes from outside the program (CLI JSON), and any majorant
+    # would otherwise pass class_check as a declared ratio guarantee
+    with pytest.raises(ValueError, match="majorant"):
+        Tabulated([1.0, 0.5, 0.25], majorant=majorant)
+    with pytest.raises(ValueError, match="majorant"):
+        psi_from_dict({"kind": "tabulated", "values": [1.0, 0.5, 0.25],
+                       "majorant": majorant})
+
+
+def test_tabulated_with_geometric_majorant_passes_class_check():
+    spec = {"kind": "tabulated", "values": [1.0, 0.5, 0.25],
+            "majorant": {"geometric": {"K": 1, "rho": 0.5}}}
+    psi = psi_from_dict(spec)
+    assert psi_from_dict(psi_to_dict(psi)).majorant == spec["majorant"]
+    assert 2 in class_check(psi, [2])
+
+
 def test_alpha_decreasing_lambda_increasing_flags():
     flags = class_check(GenPoisson(1.0, 0.5), [8])
     assert flags[8].alpha_decreasing
