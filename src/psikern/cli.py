@@ -65,8 +65,7 @@ def _config_from_args(args) -> ExperimentConfig:
         base["psi_specs"] = [json.loads(s) for s in args.psi]
     if getattr(args, "n", None):
         base["n_list"] = _parse_n_list(args.n)
-    for key in ("beta", "n_functions", "x_grid", "seed", "solver_grid",
-                "slack_scale", "duality_grid"):
+    for key in _FLAGS:
         v = getattr(args, key, None)
         if v is not None:
             base[key] = v
@@ -75,19 +74,24 @@ def _config_from_args(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(base)
 
 
-def _add_config_flags(p: argparse.ArgumentParser, functions: bool = True):
+# ExperimentConfig field -> (flag, type) for the optional scalar flags
+_FLAGS = {"beta": ("--beta", float), "n_functions": ("--functions", int),
+          "x_grid": ("--x-grid", int), "seed": ("--seed", int),
+          "solver_grid": ("--solver-grid", int),
+          "slack_scale": ("--slack-scale", float),
+          "duality_grid": ("--duality-grid", int)}
+
+
+def _add_config_flags(p: argparse.ArgumentParser, fields):
+    """The config flags, with only those scalar flags whose fields the
+    subcommand's harness function reads, so any other is a usage error."""
     p.add_argument("--config", help="JSON file with ExperimentConfig fields")
     p.add_argument("--psi", action="append",
                    help="family spec as JSON, repeatable")
     p.add_argument("--n", help="comma separated interpolation orders")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--x-grid", dest="x_grid", type=int)
-    p.add_argument("--solver-grid", dest="solver_grid", type=int)
-    p.add_argument("--duality-grid", dest="duality_grid", type=int)
-    p.add_argument("--slack-scale", dest="slack_scale", type=float)
-    if functions:
-        p.add_argument("--functions", dest="n_functions", type=int)
+    for key in fields:
+        flag, typ = _FLAGS[key]
+        p.add_argument(flag, dest=key, type=typ)
     p.add_argument("--out-csv")
     p.add_argument("--out-json")
 
@@ -214,19 +218,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-lebesgue",
                        help="check deviations against the tail-sum rhs")
-    _add_config_flags(p)
+    _add_config_flags(p, _FLAGS)
     p.add_argument("--with-duality", action="store_true")
     p.add_argument("--emit-plot-script", metavar="PATH",
                    help="write a gnuplot script next to the CSV")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sharpness", help="duality/tail-sum ratio trend")
-    _add_config_flags(p, functions=False)
+    _add_config_flags(p, ("beta", "duality_grid"))
     p.set_defaults(func=_cmd_sharpness)
 
     p = sub.add_parser("classical-check",
                        help="compare against the uniform-metric classical bound")
-    _add_config_flags(p)
+    _add_config_flags(p, ("beta", "n_functions", "x_grid", "seed",
+                          "solver_grid", "slack_scale"))
     p.set_defaults(func=_cmd_classical)
 
     p = sub.add_parser("lebesgue", help="Lebesgue function and log residual")

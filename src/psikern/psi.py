@@ -139,11 +139,13 @@ class PsiFamily:
     Instances are immutable apart from an internal, monotonically growing
     summation cache.  The cache is the pair (psi(1..C), suffix sums),
     published in one rebind and read through one local snapshot, so all
-    public operations are safe for concurrent use.  One certify-or-grow
-    loop decides how far it grows: tail_sum, weighted_tail, the cached
-    double_tail and truncation_order all double it until a majorant
-    certifies, clamped to the term budget, and raise SlowConvergence at
-    the budget.
+    public operations are safe for concurrent use.  The three cached sums
+    read the suffix sums alone: tail_sum one entry, weighted_tail the sum
+    of the entries past n, and double_tail one entry per block.  One
+    certify-or-grow loop decides how far it grows: tail_sum,
+    weighted_tail, the cached double_tail and truncation_order all double
+    it until a majorant certifies, clamped to the term budget, and raise
+    SlowConvergence at the budget.
     """
 
     kind: str = "abstract"
@@ -307,19 +309,21 @@ def tail_sum(psi: PsiFamily, n: int, rel_tol: float | None = None,
 
 def weighted_tail(psi: PsiFamily, n: int, rel_tol: float | None = None,
                   budget: int | None = None) -> CertifiedSum:
-    """Certified (1/n) sum_{k>=1} k psi(k+n)."""
+    """Certified (1/n) sum_{k>=1} k psi(k+n) = (1/n) sum_{j>n} tail_sum(j).
+
+    Families without a closed form read it as the sum of the cached suffix
+    sums past n."""
     n = int(n)
     closed = psi._closed_weighted(n)
     if closed is not None:
         return closed
 
     def compute():
-        vals = psi._vals
+        vals, suf = psi._cache
         C = len(vals)
-        # direct dot keeps the sum nonnegative-term (no head cancellation)
-        w = np.arange(1.0, C - n + 1.0)
-        value = float(np.dot(w, vals[n:])) / n
-        return value, psi._ktail_remainder(C) / n, C - n
+        # sum_{j>n} tail(j) = sum_{k>n} (k-n) psi(k): a sum of suffix sums,
+        # every term nonnegative (no head cancellation)
+        return float(np.sum(suf[n:C])) / n, psi._ktail_remainder(C) / n, C - n
 
     return _certified(psi, n, rel_tol, budget, compute, "weighted_tail",
                       lambda C: psi._ktail_remainder(C) / n)
@@ -363,19 +367,10 @@ def double_tail(psi: PsiFamily, n: int, rel_tol: float | None = None,
     def compute():
         vals, suf = psi._cache
         C = len(vals)
-        kmax = (C - n) // s
-        if kmax < k_start:
-            return 0.0, math.inf, 0
-        ks = np.arange(k_start, kmax + 1, dtype=np.int64)
-        ms = n + ks * s
-        value = float(np.sum(suf[ms - 1]))
-        inner = len(ks) * psi._tail_remainder(C)
-        mstar = int(n + (kmax + 1) * s)
-        # counting bound for the dropped outer terms:
-        # sum_{k>kmax} tail(m_k) <= Rtail(m*-1) + Rk(m*-1)/(2n-1)
-        outer = psi._tail_remainder(mstar - 1) + psi._ktail_remainder(mstar - 1) / s
-        used = int(np.sum(C - ms + 1))
-        return value, inner + outer, used
+        ms = np.arange(n + k_start * s, C + 1, s)
+        # a term psi(nu), nu > C, lies in at most (nu-n)/s + 1 blocks
+        rem = psi._tail_remainder(C) + psi._ktail_remainder(C) / s
+        return float(np.sum(suf[ms - 1])), rem, int(np.sum(C - ms + 1))
 
     return _certified(psi, n, rel_tol, budget, compute, "double_tail")
 
@@ -1141,23 +1136,26 @@ class EvenOdd(PsiFamily):
         return _exact(block(m0) + block(m0 + s))
 
 
-def _is_geometric_majorant(m) -> bool:
-    """Whether m is {"geometric": {"K": int >= 1, "rho": float in (0, 1)}}."""
+def _is_geometric_majorant(m, table: np.ndarray) -> bool:
+    """Whether m is {"geometric": {"K": int >= 1, "rho": float in (0, 1)}}
+    and the table honours it: psi(k+1) <= rho psi(k) for every k >= K."""
     g = m.get("geometric") if isinstance(m, dict) and len(m) == 1 else None
     if not (isinstance(g, dict) and g.keys() == {"K", "rho"}):
         return False
     K, rho = g["K"], g["rho"]
     return (isinstance(K, (int, np.integer)) and not isinstance(K, bool)
             and K >= 1 and isinstance(rho, (float, np.floating))
-            and 0.0 < rho < 1.0)
+            and 0.0 < rho < 1.0
+            and bool(np.all(table[K:] <= rho * table[K - 1:-1])))
 
 
 class Tabulated(PsiFamily):
     """Finite table of values; psi(k) = 0 beyond the table.
 
     An optional majorant dict ({"geometric": {"K": int >= 1, "rho": float
-    in (0, 1)}}) records a declared ratio guarantee; any other majorant
-    raises ValueError, and membership checks refuse to run without one.
+    in (0, 1)}}) records a declared ratio guarantee, psi(k+1) <= rho psi(k)
+    for k >= K; any other majorant, or one the table breaks, raises
+    ValueError, and membership checks refuse to run without one.
     Eventually-zero sequences are treated as fastest-decay.
     """
 
@@ -1171,10 +1169,10 @@ class Tabulated(PsiFamily):
             raise ValueError("tabulated family needs a nonempty 1-d value list")
         if np.any(vals < 0.0) or not np.all(np.isfinite(vals)):
             raise ValueError("tabulated values must be finite and >= 0")
-        if majorant is not None and not _is_geometric_majorant(majorant):
+        if majorant is not None and not _is_geometric_majorant(majorant, vals):
             raise ValueError('majorant must be None or {"geometric": '
-                             '{"K": int >= 1, "rho": float in (0, 1)}}, '
-                             f"got {majorant!r}")
+                             '{"K": int >= 1, "rho": float in (0, 1)}} that '
+                             f"the table honours, got {majorant!r}")
         super().__init__()
         self.table = vals
         self.majorant = majorant

@@ -352,3 +352,70 @@ def test_rows_and_csv_sorted_by_label_n_function_x(tmp_path, check):
         got = [(p, int(n), int(i), float(x))
                for p, _, n, i, x, *_ in list(csv.reader(fh))[1:]]
     assert got == [key(r) for r in rows]
+
+
+# every scalar config flag, with the ExperimentConfig field it sets
+CLI_FLAGS = {"--beta": ("beta", 0.3), "--seed": ("seed", 77),
+             "--x-grid": ("x_grid", 24), "--functions": ("n_functions", 4),
+             "--solver-grid": ("solver_grid", 96),
+             "--slack-scale": ("slack_scale", 1e-8),
+             "--duality-grid": ("duality_grid", 2048)}
+
+
+@pytest.mark.parametrize("command,check,flags,extra", [
+    ("verify-lebesgue", verify_lebesgue, tuple(CLI_FLAGS),
+     ("--with-duality",)),
+    ("classical-check", classical_lebesgue_check,
+     ("--beta", "--seed", "--x-grid", "--functions", "--solver-grid",
+      "--slack-scale"), ()),
+], ids=["verify", "classical"])
+def test_cli_flags_give_the_library_csv(tmp_path, capsys, command, check,
+                                        flags, extra):
+    """Each flag lands in its config field: the command's CSV is the
+    library's, byte for byte, on the equivalent ExperimentConfig."""
+    out = tmp_path / "cli.csv"
+    argv = [command, "--psi", json.dumps(GEN_POISSON), "--psi",
+            json.dumps(GEOMETRIC), "--n", "3,5", "--out-csv", str(out)]
+    for flag in flags:
+        argv += [flag, str(CLI_FLAGS[flag][1])]
+    assert cli_main(argv + list(extra)) == 0
+    assert f"{command}: pass=" in capsys.readouterr().out
+    fields = dict(CLI_FLAGS[f] for f in flags)
+    cfg = ExperimentConfig(psi_specs=(GEN_POISSON, GEOMETRIC), n_list=(3, 5),
+                           with_duality=bool(extra), **fields)
+    check(cfg, out_csv=str(tmp_path / "lib.csv"))
+    assert out.read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+
+def test_cli_sharpness_rows(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    rc = cli_main(["sharpness", "--psi", json.dumps(GEOMETRIC), "--psi",
+                   json.dumps(EVEN_ODD), "--n", "4,8", "--beta", "0.5",
+                   "--duality-grid", "2048", "--out-csv", str(out)])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    cfg = ExperimentConfig(psi_specs=(GEOMETRIC, EVEN_ODD), n_list=(4, 8),
+                           beta=0.5, duality_grid=2048)
+    rows, _ = sharpness_probe(cfg)
+    assert [(r.psi, r.n) for r in rows] == [
+        ("even_odd(q1=0.9,q2=0.5)", 4), ("even_odd(q1=0.9,q2=0.5)", 8),
+        ("geometric(q=0.5)", 4), ("geometric(q=0.5)", 8)]
+    assert len(lines) == len(rows)
+    assert all(f"ratio={r.ratio:.9f}" in line for r, line in zip(rows, lines))
+    got = list(csv.reader(out.read_text().splitlines()))
+    assert got[1:] == [[_csv_text(v) for v in r] for r in rows]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sharpness", "--seed", "3"], ["sharpness", "--x-grid", "32"],
+    ["sharpness", "--solver-grid", "128"], ["sharpness", "--slack-scale", "1"],
+    ["sharpness", "--functions", "4"],
+    ["classical-check", "--duality-grid", "512"],
+    ["classical-check", "--with-duality"]])
+def test_cli_refuses_flags_the_command_does_not_read(argv, capsys):
+    # a flag the harness function never reads is a usage error (exit 2),
+    # not a silent no-op
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv + ["--psi", json.dumps(GEOMETRIC), "--n", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

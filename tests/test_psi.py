@@ -307,6 +307,22 @@ def test_tabulated_with_geometric_majorant_passes_class_check():
     assert 2 in class_check(psi, [2])
 
 
+def test_tabulated_refuses_a_majorant_its_table_breaks():
+    # the ratios 0.9 and 0.89 exceed the declared rho = 0.1 from K = 1 on
+    majorant = {"geometric": {"K": 1, "rho": 0.1}}
+    with pytest.raises(ValueError, match="majorant"):
+        Tabulated([1.0, 0.9, 0.8], majorant=majorant)
+    with pytest.raises(ValueError, match="majorant"):
+        psi_from_dict({"kind": "tabulated", "values": [1.0, 0.9, 0.8],
+                       "majorant": majorant})
+    # from K = 2 on only 0.8/0.9 counts; past the table psi is 0
+    Tabulated([1.0, 0.9, 0.2], majorant={"geometric": {"K": 2, "rho": 0.25}})
+    Tabulated([1.0, 0.9, 0.8], majorant={"geometric": {"K": 3, "rho": 0.1}})
+    with pytest.raises(ValueError, match="majorant"):
+        Tabulated([1.0, 0.9, 0.8],
+                  majorant={"geometric": {"K": 2, "rho": 0.5}})
+
+
 def test_alpha_decreasing_lambda_increasing_flags():
     flags = class_check(GenPoisson(1.0, 0.5), [8])
     assert flags[8].alpha_decreasing
@@ -340,6 +356,89 @@ def test_truncation_order_certifies():
             assert psi._tail_remainder(K) <= target, (psi.label(), n, K)
             assert K == n or psi._tail_remainder(K - 1) > target, \
                 (psi.label(), n, K)
+
+
+@pytest.mark.parametrize("psi", [Neumann(0.9), AnalyticSech(0.9)],
+                         ids=["neumann", "sech"])
+def test_ratio_sup_and_analytic_lambda(psi):
+    """_eps_sup against a brute-force sup of |psi(k+1)/psi(k) - q| over
+    k in [n, 4096], and the analytic lambda = psi/|psi'| against a central
+    difference of the continuous extension."""
+    q = psi.ratio_limit
+    v = psi._values_array(np.arange(1.0, 4098.0))
+    dev = np.abs(v[1:] / v[:-1] - q)          # dev[k-1] at k = 1..4096
+    for n in (1, 4, 17, 64):
+        eps, mono = psi._eps_sup(n, q)
+        brute = dev[n - 1:]
+        assert eps >= brute.max() - 1e-15
+        assert eps == pytest.approx(brute.max(), rel=1e-9, abs=1e-15)
+        assert mono and np.all(np.diff(brute) <= 1e-15)
+    for t in (1.0, 2.5, 10.0, 40.0):
+        h = 1e-5 * t
+        d = (psi._psi_continuous(t + h) - psi._psi_continuous(t - h)) / (2 * h)
+        assert psi._lambda_analytic(t) == pytest.approx(
+            psi._psi_continuous(t) / -d, rel=1e-7)
+        assert psi._psi_continuous(t) == pytest.approx(
+            float(psi._values_array(np.array([t]))[0]), rel=1e-14)
+
+
+def test_gen_poisson_r1_is_geometric():
+    # r = 1 takes the geometric closed forms at q = exp(-alpha), bit for bit
+    for alpha in (0.3, 1.0, 2.5):
+        gp, geo = GenPoisson(alpha, 1.0), Geometric(math.exp(-alpha))
+        assert gp.ratio_limit == geo.q
+        assert gp._eps_sup(8, gp.ratio_limit) == (0.0, True)
+        for n in (1, 4, 17):
+            assert tail_sum(gp, n) == tail_sum(geo, n)
+            assert weighted_tail(gp, n) == weighted_tail(geo, n)
+            for k_start in (0, 1):
+                assert double_tail(gp, n, k_start=k_start) \
+                    == double_tail(geo, n, k_start=k_start)
+
+
+def _counting_reference(psi, n, N=1 << 16):
+    """Independent enclosures [lo, hi] of the double tails (k_start 0 and
+    1) and of the weighted tail: the counting-weight sums
+    sum_nu (floor((nu-n)/s)+1-k_start) psi(nu) and (1/n) sum_nu (nu-n)
+    psi(nu), taken with math.fsum to N, far past any cutoff used here, plus
+    their own majorants past N."""
+    s = 2 * n - 1
+    nu = np.arange(1, N + 1)
+    v = psi._values_array(nu.astype(np.float64))
+    out = {}
+    for k_start in (0, 1):
+        w = (nu - n) // s + 1 - k_start
+        lo = math.fsum((w[w > 0] * v[w > 0]).tolist())
+        out[k_start] = (lo, lo + psi._tail_remainder(N)
+                        + psi._ktail_remainder(N) / s)
+    lo = math.fsum(((nu[nu > n] - n) * v[nu > n]).tolist()) / n
+    out["weighted"] = (lo, lo + psi._ktail_remainder(N) / n)
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GenPoisson(1.0, 0.5),
+    lambda: Neumann(0.5),
+    lambda: Neumann(0.9),
+    lambda: ExpLogSquared(),
+    lambda: ExpTOverLog(),
+], ids=["gen_poisson", "neumann0.5", "neumann0.9", "els", "etl"])
+def test_cached_tails_enclose_reference_at_loose_tolerances(make):
+    """At loose rel_tol the remainder bound is a visible part of each
+    interval, so it must cover what the cache leaves out.  Neumann(0.9)'s
+    k-weighted majorant is exact, so a remainder that drops the plain tail
+    term fails here."""
+    for n in (1, 4, 17):
+        ref = _counting_reference(make(), n)
+        for rel_tol in (1e-3, 1e-6):
+            psi = make()
+            got = {k: double_tail(psi, n, rel_tol, k_start=k) for k in (0, 1)}
+            got["weighted"] = weighted_tail(psi, n, rel_tol)
+            for key, S in got.items():
+                lo, hi = ref[key]
+                slack = 1e-14 * lo
+                assert S.value - slack <= hi and lo <= S.hi + slack, \
+                    (psi.label(), n, rel_tol, key, S, lo, hi)
 
 
 def test_even_odd_parity_structure():
