@@ -6,6 +6,7 @@ Both problems are discretized on a uniform M-point grid:
     best_uniform: min max_i |f(t_i) - p(t_i)|
 
 with p ranging over order-(n-1) polynomials (2n-1 free coefficients).
+A TrigPoly f is sampled on the grid by one inverse FFT.
 
 best_l1 runs an in-repo revised simplex with one pivot rule, Dantzig
 pricing in a deterministic order.  Degenerate bases cannot cycle: the
@@ -14,10 +15,14 @@ floor (Charnes, Econometrica 20, 1952), and the value and polynomial are
 computed from the data itself.  The 2n-1 coefficients are free and stay
 basic, so a basis is a set P of 2n-1 interpolation rows plus the signs
 of the residuals on the other, free rows, and a pivot swaps one row into
-P and one out.  The start is a crash basis: P holds one grid row per
-arc, where a least-squares fit is closest to f, and the signs are those
-of f minus its interpolant, so the basis is feasible outright and needs
-no Phase I.  Only the residuals of the rows in P are priced, since a
+P and one out.  The block of P's rows is held as its inverse, which a
+row swap changes by one rank-one (Sherman-Morrison) update, so no pivot
+solves a dense system; it is re-inverted every REFACTOR_EVERY pivots,
+and the returned values are solved afresh on the final block.  The
+start is a crash basis: P holds one grid row per arc, where a
+least-squares fit is closest to f, and the signs are those of f minus
+its interpolant, so the basis is feasible outright and needs no
+Phase I.  Only the residuals of the rows in P are priced, since a
 free row has dual +-1 and its other residual can never enter.  Dantzig
 pivots take the Barrodale-Roberts long step (SIAM J. Numer. Anal. 10,
 1973): one pivot passes every free-row breakpoint at which the objective
@@ -40,10 +45,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverStall
-from .trig import TrigPoly, _sample
+from .trig import TrigPoly, _sample, _sample_grid
 
 REDCOST_TOL = 1e-9
 PIVOT_TOL = 1e-10
+# pivots between fresh inversions of the L1 basis block
+REFACTOR_EVERY = 32
 
 
 @dataclass(frozen=True)
@@ -68,12 +75,8 @@ class ApproxResult:
 def _design(n: int, t: np.ndarray) -> np.ndarray:
     """Columns [1/2, cos t..cos (n-1)t, sin t..sin (n-1)t]; the coefficient
     vector is then exactly TrigPoly's (a0, a, b) layout."""
-    cols = [np.full(len(t), 0.5)]
-    for j in range(1, n):
-        cols.append(np.cos(j * t))
-    for j in range(1, n):
-        cols.append(np.sin(j * t))
-    return np.column_stack(cols)
+    jt = np.outer(t, np.arange(1, n))
+    return np.column_stack([np.full(len(t), 0.5), np.cos(jt), np.sin(jt)])
 
 
 def _coeff_poly(n: int, c: np.ndarray) -> TrigPoly:
@@ -95,6 +98,43 @@ def _block_solve(A: np.ndarray, b: np.ndarray, it: int) -> np.ndarray:
         raise SolverStall("singular L1 basis block", iterations=it)
 
 
+def _block_inverse(A: np.ndarray, it: int) -> np.ndarray:
+    try:
+        return np.linalg.inv(A)
+    except np.linalg.LinAlgError:
+        raise SolverStall("singular L1 basis block", iterations=it)
+
+
+def _long_step(pos: np.ndarray, ratios: np.ndarray, tt: np.ndarray,
+               z0: float) -> np.ndarray:
+    """The breakpoints pos in the order of a stable sort of ratios, up to
+    and including the leaving row.
+
+    Along the ray the slope starts at z0 and grows by 2 tt at each
+    breakpoint; the leaving row is the first at which it is nonnegative,
+    or the first breakpoint (the short step) if roundoff leaves every
+    slope negative.  The slope turns after a few breakpoints, so only the
+    m smallest ratios are ordered, m growing until it has turned: every
+    row at or below the m-th smallest ratio, in row order, is sorted
+    stably, which is the head of the full stable sort, ties included."""
+    # array methods, not the np.* wrappers: this runs once a pivot, on
+    # short arrays, where the wrappers' call cost is most of the time
+    m = 8
+    while True:
+        cut = np.inf
+        if m < len(ratios):
+            part = ratios.copy()
+            part.partition(m - 1)
+            cut = part[m - 1]
+        head = (ratios <= cut).nonzero()[0]
+        br = pos[head[ratios[head].argsort(kind="stable")]]
+        turned = z0 + 2.0 * tt[br].cumsum() >= -REDCOST_TOL
+        j = int(turned.argmax())
+        if turned[j] or cut == np.inf:
+            return br[:j + 1]
+        m *= 4
+
+
 def _l1_revised(Phi: np.ndarray, f0: np.ndarray, max_iter: int
                 ) -> tuple[np.ndarray, np.ndarray, int, float]:
     """Revised simplex for min sum(u+v) s.t. Phi c + u - v = f, u, v >= 0.
@@ -104,8 +144,8 @@ def _l1_revised(Phi: np.ndarray, f0: np.ndarray, max_iter: int
     one residual per free row, u_i or v_i as sigma_i is +1 or -1, and the
     basis is fully described by the set P of d interpolation rows, where
     both residuals are zero, and the signs sigma on the free rows.  Every
-    basis solve is the d x d block Phi[P].  Returns (c, duals, iterations,
-    sum |f0 - Phi c|).
+    basis solve goes through the d x d block Phi[P], held factored as its
+    inverse B.  Returns (c, duals, iterations, sum |f0 - Phi c|).
 
     The start is a crash basis (Bixby, ORSA J. Computing 4, 1992): P holds
     one row of each of d equal arcs of the grid, the row where the
@@ -128,6 +168,18 @@ def _l1_revised(Phi: np.ndarray, f0: np.ndarray, max_iter: int
     breakpoint where the slope turns nonnegative; that row joins P, the
     entering row leaves it, and every breakpoint before it flips.  One
     long step counts as one pivot.
+
+    P is kept in slot order: the joining row takes the slot of the row
+    that leaves, so a pivot replaces one row of the block, and B follows
+    by one Sherman-Morrison update (Golub and Van Loan, Matrix
+    Computations, 4th ed., 2013, sec. 2.1.4).  Its denominator is the
+    pivot element, which the ratio test keeps above PIVOT_TOL.  The duals
+    on P are then -(Phi^T y_free) B, and the column of the residual
+    entering at slot s is +-B[:, s].  Phi^T y_free is carried along too,
+    since a pivot changes the duals of the flipped and the two swapped
+    rows only.  Both are computed afresh every REFACTOR_EVERY pivots, so
+    update drift stays bounded; it can change the pivot path, but the
+    returned c and duals are solved afresh on the final block.
 
     Pivots run on f0 + delta, where delta_i is 1e-14 max|f0| times the
     golden-ratio fraction of i mapped onto [-1, 1), so sum|delta| is at
@@ -162,66 +214,80 @@ def _l1_revised(Phi: np.ndarray, f0: np.ndarray, max_iter: int
     c_ls = (PhiT @ fv) / np.einsum("ij,ij->i", PhiT, PhiT)
     dev = np.abs(fv - c_ls @ PhiT)
     edges = (np.arange(d + 1) * M) // d
-    rows = [lo + int(np.argmin(dev[lo:hi]))
-            for lo, hi in zip(edges[:-1], edges[1:])]
-    c0 = _block_solve(Phi[rows], fv[rows], 0)
-    in_F = np.ones(M, dtype=bool)               # free rows
-    in_F[rows] = False
-    sigma = np.where(fv >= c0 @ PhiT, 1.0, -1.0)  # +1: u_i basic, -1: v_i basic
+    P = np.array([lo + int(np.argmin(dev[lo:hi]))
+                  for lo, hi in zip(edges[:-1], edges[1:])])
+    B = _block_inverse(Phi[P], 0)
+    # the duals on the free rows: sigma_i, +1 where u_i is basic and -1
+    # where v_i is, and 0 on the rows of P
+    yF = np.where(fv >= (B @ fv[P]) @ PhiT, 1.0, -1.0)
+    yF[P] = 0.0
 
     exact = False
     prev_obj = math.inf
     for it in range(max_iter):
-        P = np.flatnonzero(~in_F)
-        A_P = Phi[P]
-        # duals: +-1 on free rows, and Phi^T y = 0 fixes them on P
-        y = np.where(in_F, sigma, 0.0)
-        y[P] = _block_solve(A_P.T, -(PhiT @ y), it)
-        z = np.concatenate([1.0 - y[P], 1.0 + y[P]])
-        negs = np.flatnonzero(z < -REDCOST_TOL)
+        if it % REFACTOR_EVERY == 0:
+            if it:
+                B = _block_inverse(Phi[P], it)
+            g = PhiT @ yF
+        # Phi^T y = 0 fixes the duals on P
+        yP = -(g @ B)
+        z = np.concatenate([1.0 - yP, 1.0 + yP])
+        negs = (z < -REDCOST_TOL).nonzero()[0]
         if len(negs) == 0:
             break
-        for k in negs[np.argsort(z[negs], kind="stable")]:
-            # u (k < d) or v of row P[k % d] enters; its column is a unit
-            # vector on that block row and zero on the free rows
-            e = np.zeros(d)
-            e[k % d] = 1.0 if k < d else -1.0
-            # the coefficients and the tableau column, both through the
-            # block; on a free row the column is -sigma_i (Phi x)_i
-            X = _block_solve(A_P, np.column_stack([fv[P], e]), it)
-            fit = X.T @ PhiT
-            tt = np.where(in_F, -sigma * fit[1], 0.0)
-            pos = np.flatnonzero(tt > PIVOT_TOL)
+        c = B @ fv[P]
+        for k in negs[z[negs].argsort(kind="stable")]:
+            # u (k < d) or v of the row in slot s enters; its column is a
+            # unit vector on that block row and zero on the free rows.  The
+            # coefficients and the tableau column share one pass over Phi;
+            # on a free row the column is -sigma_i (Phi x)_i
+            s = k % d
+            fit = np.array([c, B[:, s] if k < d else -B[:, s]]) @ PhiT
+            tt = -yF * fit[1]
+            pos = (tt > PIVOT_TOL).nonzero()[0]
             if len(pos):
                 break
         else:
             raise SolverStall("no L1 entering column has a pivot above "
                               f"{PIVOT_TOL}", iterations=it)
-        w = np.where(in_F, sigma * (fv - fit[0]), 0.0)
-        obj = float(np.sum(w))
+        w = yF * (fv - fit[0])                  # the basic residuals
+        obj = float(w.sum())
         # progress is judged on the scale of f, so tiny data is not stalled
         if obj <= obj_floor and \
                 obj >= prev_obj - 1e-15 * (fscale + abs(prev_obj)):
-            y, exact = np.zeros(M), True        # exact to roundoff, see above
+            exact = True                        # exact to roundoff, see above
             break
         prev_obj = obj
         # roundoff can leave basic values at -1e-17; a negative ratio would
         # derail the pivot, so clamp before the ratio test
-        ratios = np.maximum(w[pos], 0.0) / tt[pos]
-        # long step: the leaving row is the first breakpoint whose slope
-        # is nonnegative (argmax gives 0, the short step, if roundoff
-        # leaves every slope negative)
-        br = pos[np.argsort(ratios, kind="stable")]
-        slope = z[k] + np.cumsum(2.0 * tt[br])
-        j = int(np.argmax(slope >= -REDCOST_TOL))
-        sigma[br[:j]] *= -1.0
-        # row swap: the leaving free row joins P, the entering row leaves it
-        in_F[br[j]], in_F[P[k % d]] = False, True
-        sigma[P[k % d]] = 1.0 if k < d else -1.0
+        br = _long_step(pos, np.maximum(w[pos], 0.0) / tt[pos], tt, z[k])
+        # row swap: the leaving free row r joins P in slot s, the entering
+        # row q leaves it, and the rows before r flip; Phi^T y follows the
+        # duals of those rows
+        r, q = br[-1], P[s]
+        moved = np.concatenate((br, [q]))
+        old = yF[moved]
+        yF[br[:-1]] *= -1.0
+        yF[r], yF[q] = 0.0, (1.0 if k < d else -1.0)
+        g += (yF[moved] - old) @ Phi[moved]
+        P[s] = r
+        # B follows by Sherman-Morrison, see above
+        v = Phi[r] @ B
+        Bs = B[:, s] / v[s]
+        v[s] -= 1.0
+        B -= Bs[:, None] * v
     else:
         raise SolverStall(
             f"simplex did not reach reduced-cost tolerance {REDCOST_TOL}",
             iterations=max_iter)
+    # the returned numbers are solved afresh on the final block
+    P.sort()
+    A_P = Phi[P]
+    if exact:
+        y = np.zeros(M)
+    else:
+        y = yF
+        y[P] = _block_solve(A_P.T, -(PhiT @ yF), it)
     c = _block_solve(A_P, f0[P], it)
     l1 = float(np.sum(np.abs(f0 - Phi @ c)))
     if exact and l1 > obj_floor:
@@ -240,7 +306,7 @@ def best_l1(f, n: int, M: int | None = None) -> ApproxResult:
     """
     t = _grid(n, M)
     M = len(t)
-    fv = _sample(f, t)
+    fv = _sample_grid(f, M)
     d = 2 * n - 1
     Phi = _design(n, t)
     c, duals, iters, l1 = _l1_revised(Phi, fv, max_iter=50 * (M + d))
@@ -260,7 +326,7 @@ def best_uniform(f, n: int, M: int | None = None) -> ApproxResult:
     """
     t = _grid(n, M)
     M = len(t)
-    fv = _sample(f, t)
+    fv = _sample_grid(f, M)
     d = 2 * n - 1
     Phi = _design(n, t)
     R = (np.arange(2 * n) * M) // (2 * n)

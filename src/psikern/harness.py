@@ -270,12 +270,14 @@ def classical_lebesgue_check(config: ExperimentConfig,
     cells = _cells(config)
     labels = [psi.label() for psi, _ in cells]
     xg = _x_grid(config)
+    # 1 + L_n on the x grid depends on n alone
+    leb1 = {n: 1.0 + lebesgue_fn(n, xg) for n in {n for _, n in cells}}
     blocks = []
     for ci, i, psi, n, phi, f in _corpus(config, cells):
         Eu = best_uniform(f, n, config.solver_grid).value
         El = best_l1(phi, n, config.solver_grid).value
         lhs = np.abs(deviation(f, n, xg))
-        rhs_c = (1.0 + lebesgue_fn(n, xg)) * Eu
+        rhs_c = leb1[n] * Eu
         rhs1 = thm1_rhs(psi, n, xg, El)
         with np.errstate(divide="ignore", invalid="ignore"):
             rat = np.where(rhs_c > 0.0, rhs1 / rhs_c, np.nan)

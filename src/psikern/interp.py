@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trig import TrigPoly, _sample, dirichlet
+from .trig import TrigPoly, _sample, _sample_grid, dirichlet
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,7 @@ def node_sum_eval(samples, n: int, x):
 
 def deviation(f, n: int, x):
     """rho_n(f; x) = f(x) - S_{n-1}(f; x); vanishes at every node."""
-    xk = nodes(n).nodes
-    p = interpolate(_sample(f, xk), n)
+    p = interpolate(_sample_grid(f, 2 * n - 1), n)
     xv = np.asarray(x, dtype=np.float64)
     scalar = xv.ndim == 0
     xv = np.atleast_1d(xv)

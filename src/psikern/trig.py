@@ -237,6 +237,19 @@ def _sample(f, t: np.ndarray) -> np.ndarray:
         return np.array([float(f(x)) for x in t])
 
 
+def _sample_grid(f, N: int) -> np.ndarray:
+    """f at the N uniform points 2*pi*j/N.
+
+    A TrigPoly is one inverse FFT: at these points harmonic k takes the
+    values of harmonic k mod N, so its coefficients fold mod N exactly,
+    at any order.  Any other f is sampled as _sample does."""
+    if not isinstance(f, TrigPoly):
+        return _sample(f, 2.0 * math.pi * np.arange(N) / N)
+    k = np.arange(1, f.order + 1) % N
+    spec = np.bincount(k, f.a, N) - 1j * np.bincount(k, f.b, N)
+    return 0.5 * f.a0 + N * np.fft.ifft(spec).real
+
+
 def convolve_quadrature(spec: KernelSpec, phi, x: float, M: int,
                         rel_tol: float = 1e-12) -> float:
     """mean(phi) + (1/pi) int_0^{2pi} K_beta(x-t) phi(t) dt by the periodic

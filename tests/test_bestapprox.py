@@ -119,6 +119,24 @@ def test_l1_dual_certificate_property(n):
         assert abs(float(fv @ y) - s) <= 1e-9 * s
 
 
+@pytest.mark.parametrize("n", [32, 64])
+def test_l1_long_pivot_runs_keep_the_dual_certificate(n):
+    """Runs longer than the refactorisation interval of the basis block,
+    on a TrigPoly input (sampled by FFT): the returned y still certifies
+    optimality.  These inputs take 109 and 316 pivots."""
+    phi = _random_phi(np.random.default_rng([5, n]), n)
+    r = best_l1(phi, n)
+    assert r.iterations > bestapprox.REFACTOR_EVERY
+    t, Phi = _grid_design(n, r.grid_size)
+    fv = phi(t)
+    y = r.duals
+    s = float(np.sum(np.abs(fv - r.argmin(t))))
+    assert float(np.max(np.abs(y))) <= 1.0 + 1e-9
+    assert float(np.max(np.abs(Phi.T @ y))) \
+        <= 1e-9 * float(np.max(np.abs(fv))) * r.grid_size
+    assert abs(float(fv @ y) - s) <= 1e-9 * s
+
+
 def test_l1_value_scales_with_data():
     """Tolerances and the data perturbation follow the scale of f: at
     1e-30 the solver once stalled on an absolute progress test and raised

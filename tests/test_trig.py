@@ -26,6 +26,7 @@ from psikern import (
     psi_integral,
 )
 from psikern.errors import ZeroMultiplier
+from psikern.trig import _sample, _sample_grid
 
 KERNEL_POLYLOG = 1.02187432993322782  # Power(3), beta=0.7, t=1.1
 
@@ -145,6 +146,36 @@ def test_integral_derivative_round_trip(a, b, beta, a0):
     assert back.a0 == 0.0
     assert np.allclose(back.a, phi.a, rtol=1e-12, atol=1e-12)
     assert np.allclose(back.b, phi.b, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("N", [7, 31, 160, 1024])
+def test_grid_samples_fold_every_harmonic(N):
+    """A TrigPoly on the N-point grid is one inverse FFT of its
+    coefficients folded mod N; it must match pointwise evaluation at
+    orders below and above N/2, and above N, where harmonic k aliases to
+    k mod N."""
+    t = 2.0 * math.pi * np.arange(N) / N
+    for m in (0, 1, N // 3, N // 2, N // 2 + 1, N + 2, 3 * N + 1):
+        rng = np.random.default_rng([N, m])
+        p = TrigPoly(rng.standard_normal(), rng.standard_normal(m),
+                     rng.standard_normal(m))
+        scale = abs(p.a0) + np.sum(np.abs(p.a)) + np.sum(np.abs(p.b))
+        got = _sample_grid(p, N)
+        assert got.shape == (N,)
+        assert float(np.max(np.abs(got - p(t)))) <= 1e-13 * scale, m
+
+
+def test_grid_samples_of_other_callables_are_pointwise():
+    """Anything but a TrigPoly is sampled as before: one vectorised call,
+    or one call per point for a scalar-only function."""
+    N = 31
+    t = 2.0 * math.pi * np.arange(N) / N
+    vec = lambda x: np.exp(np.cos(x)) - 0.3 * np.sin(5 * x)
+    scalar = lambda x: math.exp(math.cos(x)) - 0.3 * math.sin(5 * x)
+    assert np.array_equal(_sample_grid(vec, N), vec(t))
+    assert np.array_equal(_sample_grid(scalar, N), _sample(scalar, t))
+    assert np.array_equal(_sample_grid(scalar, N),
+                          np.array([scalar(x) for x in t]))
 
 
 def test_integral_matches_quadrature():
