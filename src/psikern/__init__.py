@@ -43,6 +43,7 @@ from .harness import (
 from .interp import (
     NodeSet,
     deviation,
+    grid_deviation,
     interpolate,
     lebesgue_fn,
     lebesgue_residual,

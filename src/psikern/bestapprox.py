@@ -6,7 +6,9 @@ Both problems are discretized on a uniform M-point grid:
     best_uniform: min max_i |f(t_i) - p(t_i)|
 
 with p ranging over order-(n-1) polynomials (2n-1 free coefficients).
-A TrigPoly f is sampled on the grid by one inverse FFT.
+A TrigPoly f is sampled on the grid by one inverse FFT.  The design on
+the grid, with what the solvers derive from it, is built once per (n, M)
+and shared read-only between calls.
 
 best_l1 runs an in-repo revised simplex with one pivot rule, Dantzig
 pricing in a deterministic order.  Degenerate bases cannot cycle: the
@@ -34,13 +36,18 @@ best_uniform runs the Stiefel reference exchange.  Order-(n-1)
 polynomials are a Haar space of dimension 2n-1 on the circle, so a
 reference of 2n points with alternating error signs determines a
 levelled error h, and |h| <= E <= max|f - p| brackets the minimax E at
-every step (de la Vallee Poussin).
+every step (de la Vallee Poussin).  An exchange replaces one point of the
+reference, and so one row of its block [Phi_R | sigma], which is held as
+its inverse too: both solvers swap a row by the one rank-one update
+_swap_row, and neither solves a dense system per step.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,7 +56,7 @@ from .trig import TrigPoly, _sample, _sample_grid
 
 REDCOST_TOL = 1e-9
 PIVOT_TOL = 1e-10
-# pivots between fresh inversions of the L1 basis block
+# pivots, or exchanges, between fresh inversions of a solver's block
 REFACTOR_EVERY = 32
 
 
@@ -72,37 +79,81 @@ class ApproxResult:
     iterations: int = 0
 
 
-def _design(n: int, t: np.ndarray) -> np.ndarray:
+class _Design(NamedTuple):
+    """The design on a grid and what the solvers derive from it: the
+    contiguous transpose, the squared column norms of the crash fit and
+    the golden-ratio perturbation pattern on [-1, 1)."""
+
+    Phi: np.ndarray
+    PhiT: np.ndarray
+    norms: np.ndarray
+    jitter: np.ndarray
+
+
+def _design(n: int, t: np.ndarray) -> _Design:
     """Columns [1/2, cos t..cos (n-1)t, sin t..sin (n-1)t]; the coefficient
-    vector is then exactly TrigPoly's (a0, a, b) layout."""
+    vector is then exactly TrigPoly's (a0, a, b) layout.  The arrays are
+    read-only, since _grid_design shares them between calls."""
     jt = np.outer(t, np.arange(1, n))
-    return np.column_stack([np.full(len(t), 0.5), np.cos(jt), np.sin(jt)])
+    Phi = np.column_stack([np.full(len(t), 0.5), np.cos(jt), np.sin(jt)])
+    PhiT = np.ascontiguousarray(Phi.T)
+    gold = (np.arange(len(t)) * (0.5 * (math.sqrt(5.0) - 1.0))) % 1.0
+    D = _Design(Phi, PhiT, np.einsum("ij,ij->i", PhiT, PhiT), 2.0 * gold - 1.0)
+    for a in D:
+        a.flags.writeable = False
+    return D
+
+
+# a handful of (n, M): one entry holds two M x (2n-1) arrays, 17 MB each
+# at n = 128
+@functools.lru_cache(maxsize=4)
+def _grid_design(n: int, M: int) -> _Design:
+    """The design on the uniform M-point grid, built once per (n, M)."""
+    return _design(n, _grid(n, M))
 
 
 def _coeff_poly(n: int, c: np.ndarray) -> TrigPoly:
     return TrigPoly(c[0], c[1:n], c[n:2 * n - 1])
 
 
-def _grid(n: int, M: int | None) -> np.ndarray:
+def _grid_size(n: int, M: int | None) -> int:
     if M is None:
         M = 64 * n
     if M < 8 * n:
         raise ValueError("grid must have at least 8n points")
+    return M
+
+
+def _grid(n: int, M: int | None) -> np.ndarray:
+    M = _grid_size(n, M)
     return 2.0 * math.pi * np.arange(M) / M
 
 
-def _block_solve(A: np.ndarray, b: np.ndarray, it: int) -> np.ndarray:
+def _block_solve(A: np.ndarray, b: np.ndarray, it: int,
+                 what: str) -> np.ndarray:
     try:
         return np.linalg.solve(A, b)
     except np.linalg.LinAlgError:
-        raise SolverStall("singular L1 basis block", iterations=it)
+        raise SolverStall(f"singular {what}", iterations=it)
 
 
-def _block_inverse(A: np.ndarray, it: int) -> np.ndarray:
+def _block_inverse(A: np.ndarray, it: int, what: str) -> np.ndarray:
     try:
         return np.linalg.inv(A)
     except np.linalg.LinAlgError:
-        raise SolverStall("singular L1 basis block", iterations=it)
+        raise SolverStall(f"singular {what}", iterations=it)
+
+
+def _swap_row(B: np.ndarray, s: int, row: np.ndarray) -> None:
+    """Replace row s of the block whose inverse is B by row, updating B in
+    place by one Sherman-Morrison step (Golub and Van Loan, Matrix
+    Computations, 4th ed., 2013, sec. 2.1.4).  Its denominator
+    row @ B[:, s] is the ratio of the new block's determinant to the old
+    one's, so it is nonzero while the new block is nonsingular."""
+    v = row @ B
+    Bs = B[:, s] / v[s]
+    v[s] -= 1.0
+    B -= Bs[:, None] * v
 
 
 def _long_step(pos: np.ndarray, ratios: np.ndarray, tt: np.ndarray,
@@ -135,7 +186,7 @@ def _long_step(pos: np.ndarray, ratios: np.ndarray, tt: np.ndarray,
         m *= 4
 
 
-def _l1_revised(Phi: np.ndarray, f0: np.ndarray, max_iter: int
+def _l1_revised(D: _Design, f0: np.ndarray, max_iter: int
                 ) -> tuple[np.ndarray, np.ndarray, int, float]:
     """Revised simplex for min sum(u+v) s.t. Phi c + u - v = f, u, v >= 0.
 
@@ -171,8 +222,7 @@ def _l1_revised(Phi: np.ndarray, f0: np.ndarray, max_iter: int
 
     P is kept in slot order: the joining row takes the slot of the row
     that leaves, so a pivot replaces one row of the block, and B follows
-    by one Sherman-Morrison update (Golub and Van Loan, Matrix
-    Computations, 4th ed., 2013, sec. 2.1.4).  Its denominator is the
+    by one Sherman-Morrison update (_swap_row).  Its denominator is the
     pivot element, which the ratio test keeps above PIVOT_TOL.  The duals
     on P are then -(Phi^T y_free) B, and the column of the residual
     entering at slot s is +-B[:, s].  Phi^T y_free is carried along too,
@@ -202,21 +252,20 @@ def _l1_revised(Phi: np.ndarray, f0: np.ndarray, max_iter: int
     negative with no pivot above PIVOT_TOL is priced by roundoff, so the
     next candidate enters instead.
     """
+    Phi, PhiT = D.Phi, D.PhiT
     M, d = Phi.shape
-    PhiT = np.ascontiguousarray(Phi.T)
     fscale = float(np.max(np.abs(f0)))
     obj_floor = 1e-13 * M * fscale              # roundoff level of sum|r|
     # the pivots run on f0 + delta, see above
-    gold = (np.arange(M) * (0.5 * (math.sqrt(5.0) - 1.0))) % 1.0
-    fv = f0 + 0.1 * obj_floor / M * (2.0 * gold - 1.0)
+    fv = f0 + 0.1 * obj_floor / M * D.jitter
 
     # crash basis: one interpolation row per arc, see above
-    c_ls = (PhiT @ fv) / np.einsum("ij,ij->i", PhiT, PhiT)
+    c_ls = (PhiT @ fv) / D.norms
     dev = np.abs(fv - c_ls @ PhiT)
     edges = (np.arange(d + 1) * M) // d
     P = np.array([lo + int(np.argmin(dev[lo:hi]))
                   for lo, hi in zip(edges[:-1], edges[1:])])
-    B = _block_inverse(Phi[P], 0)
+    B = _block_inverse(Phi[P], 0, "L1 basis block")
     # the duals on the free rows: sigma_i, +1 where u_i is basic and -1
     # where v_i is, and 0 on the rows of P
     yF = np.where(fv >= (B @ fv[P]) @ PhiT, 1.0, -1.0)
@@ -227,7 +276,7 @@ def _l1_revised(Phi: np.ndarray, f0: np.ndarray, max_iter: int
     for it in range(max_iter):
         if it % REFACTOR_EVERY == 0:
             if it:
-                B = _block_inverse(Phi[P], it)
+                B = _block_inverse(Phi[P], it, "L1 basis block")
             g = PhiT @ yF
         # Phi^T y = 0 fixes the duals on P
         yP = -(g @ B)
@@ -271,11 +320,7 @@ def _l1_revised(Phi: np.ndarray, f0: np.ndarray, max_iter: int
         yF[r], yF[q] = 0.0, (1.0 if k < d else -1.0)
         g += (yF[moved] - old) @ Phi[moved]
         P[s] = r
-        # B follows by Sherman-Morrison, see above
-        v = Phi[r] @ B
-        Bs = B[:, s] / v[s]
-        v[s] -= 1.0
-        B -= Bs[:, None] * v
+        _swap_row(B, s, Phi[r])
     else:
         raise SolverStall(
             f"simplex did not reach reduced-cost tolerance {REDCOST_TOL}",
@@ -287,8 +332,8 @@ def _l1_revised(Phi: np.ndarray, f0: np.ndarray, max_iter: int
         y = np.zeros(M)
     else:
         y = yF
-        y[P] = _block_solve(A_P.T, -(PhiT @ yF), it)
-    c = _block_solve(A_P, f0[P], it)
+        y[P] = _block_solve(A_P.T, -(PhiT @ yF), it, "L1 basis block")
+    c = _block_solve(A_P, f0[P], it, "L1 basis block")
     l1 = float(np.sum(np.abs(f0 - Phi @ c)))
     if exact and l1 > obj_floor:
         raise SolverStall(f"exact-fit stop left sum|r| = {l1:.3g} above the "
@@ -304,12 +349,10 @@ def best_l1(f, n: int, M: int | None = None) -> ApproxResult:
     min sum(u+v).  Always feasible; the weight 2*pi/M is
     applied to the optimal objective so value approximates the integral.
     """
-    t = _grid(n, M)
-    M = len(t)
+    M = _grid_size(n, M)
     fv = _sample_grid(f, M)
-    d = 2 * n - 1
-    Phi = _design(n, t)
-    c, duals, iters, l1 = _l1_revised(Phi, fv, max_iter=50 * (M + d))
+    c, duals, iters, l1 = _l1_revised(_grid_design(n, M), fv,
+                                      max_iter=50 * (M + 2 * n - 1))
     return ApproxResult(2.0 * math.pi / M * l1, _coeff_poly(n, c), M, "L1",
                         duals, iters)
 
@@ -321,40 +364,60 @@ def best_uniform(f, n: int, M: int | None = None) -> ApproxResult:
     solve Phi_R c + sigma h = f_R with alternating sigma, so the residual
     levels at +-h on R, then swap the grid point of largest |r| for the
     cyclic neighbour whose residual has the same sign.  Each step brackets
-    |h| <= E <= max|r| (de la Vallee Poussin); the loop stops once the two
-    agree to 1e-13 max|f|, and value is max|r| of the returned polynomial.
+    |h| <= E <= max|r| (de la Vallee Poussin).
+
+    Each reference point holds a fixed slot of the block [Phi_R | sigma],
+    with a fixed sign; the point that enters takes the slot and sign of
+    the neighbour it replaces.  The slots thus keep their cyclic order
+    round the circle and the signs still alternate, and an exchange
+    replaces one row of the block.  The block is held as its inverse,
+    which _swap_row updates as in the L1 simplex, and is re-inverted every
+    REFACTOR_EVERY exchanges.  The returned c is solved afresh on the
+    final reference, its rows sorted.
+
+    The loop stops once max|r| - |h| <= 1e-13 max|f|, and value is max|r|
+    of the returned polynomial.  That tolerance is absolute, so the value
+    is fixed to within 1e-13 max|f|: a minimax error far below max|f|,
+    such as 1e-11, carries up to about 1e-3 relative uncertainty, and the
+    classical rhs of the harness, which scales by it, inherits it.
     """
-    t = _grid(n, M)
-    M = len(t)
+    M = _grid_size(n, M)
     fv = _sample_grid(f, M)
     d = 2 * n - 1
-    Phi = _design(n, t)
-    R = (np.arange(2 * n) * M) // (2 * n)
-    A = np.empty((2 * n, 2 * n))
-    A[:, -1] = np.where(np.arange(2 * n) % 2 == 0, 1.0, -1.0)
+    Phi = _grid_design(n, M).Phi
+    R = (np.arange(2 * n) * M) // (2 * n)     # the grid point in each slot
+    sigma = np.where(np.arange(2 * n) % 2 == 0, 1.0, -1.0)
+    row = np.empty(2 * n)
     tol = 1e-13 * float(np.max(np.abs(fv)))
     for it in range(50 * (M + d)):
-        A[:, :d] = Phi[R]
-        try:
-            sol = np.linalg.solve(A, fv[R])
-        except np.linalg.LinAlgError:
-            raise SolverStall("singular exchange reference", iterations=it)
-        c, h = sol[:d], sol[-1]
-        r = fv - Phi @ c
-        j = int(np.argmax(np.abs(r)))
-        value = float(abs(r[j]))
-        if value - abs(h) <= tol:
-            return ApproxResult(value, _coeff_poly(n, c), M, "Uniform",
-                                None, it)
-        # R[k-1] < j < R[k] cyclically; the residual on R is sigma h, so
-        # the neighbour sharing sign(r_j) is the one j replaces
-        k = int(np.searchsorted(R, j)) % (2 * n)
-        if (A[k, -1] * h > 0.0) != (r[j] > 0.0):
+        if it % REFACTOR_EVERY == 0:
+            B = _block_inverse(np.column_stack((Phi[R], sigma)), it,
+                               "exchange reference")
+        sol = B @ fv[R]
+        h = sol[-1]
+        r = fv - Phi @ sol[:d]
+        j = int(np.abs(r).argmax())
+        if abs(r[j]) - abs(h) <= tol:
+            break
+        # the slots keep their cyclic order, so R is sorted from its
+        # smallest entry on, round the circle: j lies between the slots
+        # k-1 and k, and the residual on R is sigma h, so the one of them
+        # sharing sign(r_j) is the one j replaces
+        k = (int(R.argmin()) + int(np.count_nonzero(R < j))) % (2 * n)
+        if (sigma[k] * h > 0.0) != (r[j] > 0.0):
             k -= 1
         R[k] = j
-        R.sort()
-    raise SolverStall("exchange did not level the reference error",
-                      iterations=50 * (M + d))
+        row[:d] = Phi[j]
+        row[d] = sigma[k]
+        _swap_row(B, k, row)
+    else:
+        raise SolverStall("exchange did not level the reference error",
+                          iterations=50 * (M + d))
+    order = R.argsort()
+    c = _block_solve(np.column_stack((Phi[R[order]], sigma[order])),
+                     fv[R[order]], it, "exchange reference")[:d]
+    value = float(np.max(np.abs(fv - Phi @ c)))
+    return ApproxResult(value, _coeff_poly(n, c), M, "Uniform", None, it)
 
 
 def oracle_best_l1(f, n: int, M: int | None = None) -> float:
@@ -369,7 +432,7 @@ def oracle_best_l1(f, n: int, M: int | None = None) -> float:
     t = _grid(n, M)
     M = len(t)
     fv = _sample(f, t)
-    Phi = _design(n, t)
+    Phi = _design(n, t).Phi
     d = 2 * n - 1
     w = 2.0 * math.pi / M
     B = 2.0 * (float(np.max(np.abs(fv))) + 1.0)

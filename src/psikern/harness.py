@@ -4,19 +4,23 @@ Generates seeded test functions, pushes them through the smoothing
 operator, interpolates on the 2n-1 equidistant nodes, and checks the
 pointwise deviation against every computable right-hand side.
 
-Each function's rows are computed as numpy columns over the x grid, and
-the columns become the returned rows (NamedTuples, so `._asdict()` gives
-a dict) and the CSV, one block of text per function.  Reports are
-deterministic: a fixed seed reproduces the CSV byte for byte.
+Each function's rows are computed as numpy columns over the uniform x
+grid; its deviation there is interp.grid_deviation, two inverse FFTs.
+Each column becomes one list, which the returned rows (NamedTuples, so
+`._asdict()` gives a dict) and the CSV share, one block of text per
+function.  Reports are deterministic: a fixed seed reproduces the CSV
+byte for byte.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -31,7 +35,7 @@ from .bounds import (
     thm2_sup_bracket,
 )
 from .errors import TrendViolation
-from .interp import deviation, lebesgue_fn
+from .interp import grid_deviation, lebesgue_fn
 from .psi import PsiFamily, limit_ratio, psi_from_dict, tail_sum
 from .trig import KernelSpec, TrigPoly, psi_integral
 
@@ -207,7 +211,7 @@ def verify_lebesgue(config: ExperimentConfig,
     for ci, i, psi, n, phi, f in _corpus(config, cells):
         cell = cell_reports[ci]
         E = best_l1(phi, n, config.solver_grid).value
-        lhs = np.abs(deviation(f, n, xg))
+        lhs = np.abs(grid_deviation(f, n, config.x_grid))
         rhs1 = cell.rhs_thm1 * E
         blocks.append(cell._replace(
             phi_index=i, lhs=lhs, E=E, rhs_thm1=rhs1,
@@ -276,7 +280,7 @@ def classical_lebesgue_check(config: ExperimentConfig,
     for ci, i, psi, n, phi, f in _corpus(config, cells):
         Eu = best_uniform(f, n, config.solver_grid).value
         El = best_l1(phi, n, config.solver_grid).value
-        lhs = np.abs(deviation(f, n, xg))
+        lhs = np.abs(grid_deviation(f, n, config.x_grid))
         rhs_c = leb1[n] * Eu
         rhs1 = thm1_rhs(psi, n, xg, El)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -313,20 +317,26 @@ class _Line(list):
 
 
 def _text(v):
-    """CSV text of a column (a list of str) or of one value: repr for
-    floats, 1/0 for bools, empty for None, str for ints, and strings
-    quoted by the csv module's rules."""
+    """CSV text of one value: as in a column for numbers and bools, empty
+    for None, and strings quoted by the csv module's rules."""
     if v is None:
         return ""
     if isinstance(v, str):
         line = _Line()
         csv.writer(line, lineterminator="").writerow([v])
         return line[0]
-    if not isinstance(v, np.ndarray):
-        return _text(np.array([v]))[0]
+    return _column(np.array([v]), True)[1][0]
+
+
+def _column(v: np.ndarray, with_text: bool) -> tuple:
+    """A numpy column's values as a list, and its CSV text when asked for:
+    repr for floats, 1/0 for bools."""
+    values = v.tolist()
+    if not with_text:
+        return values, None
     if v.dtype == bool:
-        return np.where(v, "1", "0").tolist()
-    return list(map(repr, v.tolist()))
+        return values, np.where(v, "1", "0").tolist()
+    return values, list(map(repr, values))
 
 
 def _emit(blocks: list, summary: dict,
@@ -335,29 +345,31 @@ def _emit(blocks: list, summary: dict,
 
     A block holds the rows of one test function (or one sharpness row) as
     a row NamedTuple whose fields are numpy columns or single values
-    repeated down the block.  Its CSV text is one write, so the text of
-    only one block is held at a time."""
+    repeated down the block.  Each column becomes a list once, which the
+    rows and the CSV text share.  A block's CSV text is one write, so the
+    text of only one block is held at a time."""
+    if out_csv is not None and not any(np.size(b.x) for b in blocks):
+        raise ValueError("no rows to write")
     rows = []
-    for b in blocks:
-        m = np.size(b.x)
-        rows.extend(map(type(b)._make, zip(*(
-            v.tolist() if isinstance(v, np.ndarray) else [v] * m for v in b))))
-    if out_csv is not None:
-        if not rows:
-            raise ValueError("no rows to write")
-        with open(out_csv, "w", newline="") as fh:
+    with (open(out_csv, "w", newline="") if out_csv is not None
+          else contextlib.nullcontext()) as fh:
+        if fh is not None:
             csv.writer(fh, lineterminator="\n").writerow(blocks[0]._fields)
-            # a cell's blocks are adjacent, so its shared columns (x, thm2,
-            # duality) are converted once per run of blocks
-            prev: dict = {}
-            for b in blocks:
-                m = np.size(b.x)
-                cur = {id(v): prev.get(id(v)) or _text(v)
-                       for v in b if isinstance(v, np.ndarray)}
-                cols = [cur[id(v)] if isinstance(v, np.ndarray)
-                        else [_text(v)] * m for v in b]
+        # a cell's blocks are adjacent, so its shared columns (x, thm2,
+        # duality) are converted once per run of blocks
+        prev: dict = {}
+        for b in blocks:
+            m = np.size(b.x)
+            cur = {id(v): prev.get(id(v)) or _column(v, fh is not None)
+                   for v in b if isinstance(v, np.ndarray)}
+            rows.extend(map(tuple.__new__, repeat(type(b)), zip(*(
+                cur[id(v)][0] if isinstance(v, np.ndarray) else repeat(v, m)
+                for v in b))))
+            if fh is not None:
+                cols = [cur[id(v)][1] if isinstance(v, np.ndarray)
+                        else repeat(_text(v), m) for v in b]
                 fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
-                prev = cur
+            prev = cur
     if out_json is not None:
         with open(out_json, "w") as fh:
             json.dump(summary, fh, sort_keys=True, indent=2)

@@ -91,6 +91,14 @@ def deviation(f, n: int, x):
     return float(out[0]) if scalar else out
 
 
+def grid_deviation(f, n: int, N: int) -> np.ndarray:
+    """rho_n(f; 2*pi*j/N) for j = 0..N-1: f and its interpolant on the
+    uniform N-point grid, each sampled as _sample_grid does, so a TrigPoly
+    f costs two inverse FFTs and no cos/sin matrix."""
+    p = interpolate(_sample_grid(f, 2 * n - 1), n)
+    return _sample_grid(f, N) - _sample_grid(p, N)
+
+
 def lebesgue_fn(n: int, x):
     """L_n(x) = (2/(2n-1)) sum_k |D_{n-1}(x - x_k)|; >= 1 with equality at nodes."""
     xv = np.asarray(x, dtype=np.float64)

@@ -195,6 +195,30 @@ def test_uniform_residual_equioscillates():
     assert touches >= 2 * n
 
 
+@pytest.mark.parametrize("n", [16, 32])
+def test_uniform_long_exchange_runs_keep_the_alternation(n):
+    """Runs longer than the re-inversion interval of the factored
+    reference (65 and 129 exchanges).  value is attained by the returned
+    polynomial, and its residual alternates in sign on 2n grid points where
+    |r| = value: the discrete Chebyshev characterisation of the optimum."""
+    phi = _random_phi(np.random.default_rng([5, n]), n)
+    r = best_uniform(phi, n)
+    assert r.iterations > bestapprox.REFACTOR_EVERY
+    t = 2 * math.pi * np.arange(r.grid_size) / r.grid_size
+    fv = phi(t)
+    res = fv - r.argmin(t)
+    assert abs(r.value - float(np.max(np.abs(res)))) \
+        <= 1e-12 * float(np.max(np.abs(fv)))
+    # the sign runs of the residual at the extreme level, round the circle
+    signs = np.sign(res[np.abs(res) >= r.value * (1.0 - 1e-9)])
+    runs = int(np.count_nonzero(signs != np.roll(signs, 1)))
+    assert runs >= 2 * n
+    # the memoised design is shared between calls, so it is read-only
+    for a in bestapprox._grid_design(n, r.grid_size):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
 def _highs_uniform(fv, n):
     """min_(c, e) e s.t. |fv - Phi c| <= e, solved by HiGHS.  At its
     default 1e-7 feasibility tolerances HiGHS is off by 2e-5 relative on

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from psikern import (
     TrigPoly,
     deviation,
+    grid_deviation,
     interpolate,
     lebesgue_fn,
     lebesgue_residual,
@@ -90,6 +91,39 @@ def test_deviation_vanishes_at_nodes_and_matches_brute():
     xs = np.linspace(0.1, 6.0, 17)
     p = interpolate(f(xk), n)
     assert np.allclose(deviation(f, n, xs), f(xs) - p(xs), atol=1e-12)
+
+
+@pytest.mark.parametrize("N", [7, 64, 512])
+def test_grid_deviation_matches_the_pointwise_deviation(N):
+    """The FFT route against deviation at the points 2 pi j/N, for f whose
+    order is below N/2, above N/2 and above N, where the inverse FFT must
+    fold the harmonics onto the grid."""
+    rng = np.random.default_rng([17, N])
+    x = 2 * math.pi * np.arange(N) / N
+    for n in (2, 5):
+        for order in (N // 2 - 1, N // 2 + 2, N + 3):
+            f = _rand_poly(rng, order)
+            scale = abs(f.a0) + np.sum(np.abs(f.a)) + np.sum(np.abs(f.b))
+            got = grid_deviation(f, n, N)
+            assert got.shape == (N,)
+            assert np.max(np.abs(got - deviation(f, n, x))) \
+                <= 1e-13 * scale, (n, order)
+
+
+def test_grid_deviation_samples_a_callable_pointwise():
+    """A function that is not a TrigPoly is evaluated at the grid points
+    themselves, one at a time when it takes scalars only."""
+    calls = []
+
+    def g(t):
+        calls.append(float(t))          # raises on an array of points
+        return math.exp(math.sin(t))
+
+    n, N = 4, 64
+    x = 2 * math.pi * np.arange(N) / N
+    got = grid_deviation(g, n, N)
+    assert calls[-N:] == x.tolist()
+    assert np.max(np.abs(got - deviation(g, n, x))) < 1e-13 * math.e
 
 
 def test_aliasing_of_high_harmonics():
