@@ -4,23 +4,27 @@ Generates seeded test functions, pushes them through the smoothing
 operator, interpolates on the 2n-1 equidistant nodes, and checks the
 pointwise deviation against every computable right-hand side.
 
-Each function's rows are computed as numpy columns over the uniform x
-grid; its deviation there is interp.grid_deviation, two inverse FFTs.
-Each column becomes one list, which the returned rows (NamedTuples, so
-`._asdict()` gives a dict) and the CSV share, one block of text per
-function.  Reports are deterministic: a fixed seed reproduces the CSV
+Each function's rows are computed as one block of numpy columns over
+the uniform x grid; its deviation there is interp.grid_deviation, two
+inverse FFTs.  The CSV is written one block of text per function.  The
+returned rows are a read-only sequence over the blocks: NamedTuples (so
+`._asdict()` gives a dict) of plain Python values, made one block at a
+time when they are iterated or indexed, so a run holds no per-row
+objects.  Reports are deterministic: a fixed seed reproduces the CSV
 byte for byte.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import dataclasses
 import json
 import math
+import operator
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -180,8 +184,9 @@ def verify_lebesgue(config: ExperimentConfig,
                     out_json: str | None = None,
                     plot_script: str | None = None):
     """Check |f - interpolant| <= thm1 rhs pointwise for every generated
-    function.  Returns (rows, summary); summary counts failures under the
-    slack slack_scale * (1 + |lhs| + |rhs|)."""
+    function.  Returns (rows, summary): rows a read-only sequence of
+    BoundReport, summary the failures under the slack
+    slack_scale * (1 + |lhs| + |rhs|)."""
     cells = _cells(config)
     xg = _x_grid(config)
     cell_reports = []
@@ -274,15 +279,17 @@ def classical_lebesgue_check(config: ExperimentConfig,
     cells = _cells(config)
     labels = [psi.label() for psi, _ in cells]
     xg = _x_grid(config)
-    # 1 + L_n on the x grid depends on n alone
+    # 1 + L_n on the x grid depends on n alone; thm1 is taken per cell at
+    # E = 1, before the corpus grows the caches, and scaled per function
     leb1 = {n: 1.0 + lebesgue_fn(n, xg) for n in {n for _, n in cells}}
+    cell_rhs1 = [thm1_rhs(psi, n, xg, 1.0) for psi, n in cells]
     blocks = []
     for ci, i, psi, n, phi, f in _corpus(config, cells):
         Eu = best_uniform(f, n, config.solver_grid).value
         El = best_l1(phi, n, config.solver_grid).value
         lhs = np.abs(grid_deviation(f, n, config.x_grid))
         rhs_c = leb1[n] * Eu
-        rhs1 = thm1_rhs(psi, n, xg, El)
+        rhs1 = cell_rhs1[ci] * El
         with np.errstate(divide="ignore", invalid="ignore"):
             rat = np.where(rhs_c > 0.0, rhs1 / rhs_c, np.nan)
         ok = lhs <= rhs_c + config.slack_scale * (1.0 + lhs + rhs_c)
@@ -325,56 +332,94 @@ def _text(v):
         line = _Line()
         csv.writer(line, lineterminator="").writerow([v])
         return line[0]
-    return _column(np.array([v]), True)[1][0]
+    return _column_text(np.array([v]))[0]
 
 
-def _column(v: np.ndarray, with_text: bool) -> tuple:
-    """A numpy column's values as a list, and its CSV text when asked for:
-    repr for floats, 1/0 for bools."""
-    values = v.tolist()
-    if not with_text:
-        return values, None
+def _column_text(v: np.ndarray) -> list:
+    """CSV text of a numpy column: repr for floats, 1/0 for bools."""
     if v.dtype == bool:
-        return values, np.where(v, "1", "0").tolist()
-    return values, list(map(repr, values))
+        return np.where(v, "1", "0").tolist()
+    return list(map(repr, v.tolist()))
+
+
+def _block_columns(blocks: list, column, scalar):
+    """Each block with its columns: column(v) for a numpy column, and
+    scalar(v) repeated down the block for a single value.  A cell's
+    blocks are adjacent, so its shared columns (x, thm2, duality) are
+    converted once per run of blocks."""
+    prev: dict = {}
+    for b in blocks:
+        m = np.size(b.x)
+        cur = {id(v): prev.get(id(v)) or column(v)
+               for v in b if isinstance(v, np.ndarray)}
+        yield b, [cur[id(v)] if isinstance(v, np.ndarray)
+                  else repeat(scalar(v), m) for v in b]
+        prev = cur
+
+
+class _Rows(Sequence):
+    """Read-only rows of the sorted blocks, made one block at a time.
+
+    Iterating makes each block's rows from its columns' lists and drops
+    them when it moves on, so a run holds no per-row objects.  Indexing
+    makes the one row asked for.  The rows are the blocks' NamedTuple
+    types with plain Python values, in the blocks' order."""
+
+    __slots__ = ("_blocks", "_ends")
+
+    def __init__(self, blocks: list):
+        self._blocks = blocks
+        self._ends = list(accumulate(np.size(b.x) for b in blocks))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __iter__(self):
+        for b, cols in _block_columns(self._blocks, np.ndarray.tolist,
+                                      lambda v: v):
+            yield from map(tuple.__new__, repeat(type(b)), zip(*cols))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = operator.index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("row index out of range")
+        k = bisect_right(self._ends, i)
+        j = i - (self._ends[k - 1] if k else 0)
+        b = self._blocks[k]
+        return type(b)._make(v.item(j) if isinstance(v, np.ndarray) else v
+                             for v in b)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
 def _emit(blocks: list, summary: dict,
-          out_csv: str | None, out_json: str | None) -> list:
-    """Rows of the sorted blocks, and their CSV and JSON files.
+          out_csv: str | None, out_json: str | None) -> _Rows:
+    """The rows of the sorted blocks, and their CSV and JSON files.
 
     A block holds the rows of one test function (or one sharpness row) as
     a row NamedTuple whose fields are numpy columns or single values
-    repeated down the block.  Each column becomes a list once, which the
-    rows and the CSV text share.  A block's CSV text is one write, so the
-    text of only one block is held at a time."""
-    if out_csv is not None and not any(np.size(b.x) for b in blocks):
-        raise ValueError("no rows to write")
-    rows = []
-    with (open(out_csv, "w", newline="") if out_csv is not None
-          else contextlib.nullcontext()) as fh:
-        if fh is not None:
+    repeated down the block.  The rows are a _Rows view over the blocks.
+    The CSV text is made per block from each column's values and written
+    in one piece, so the text of only one block is held at a time."""
+    if out_csv is not None:
+        if not any(np.size(b.x) for b in blocks):
+            raise ValueError("no rows to write")
+        with open(out_csv, "w", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerow(blocks[0]._fields)
-        # a cell's blocks are adjacent, so its shared columns (x, thm2,
-        # duality) are converted once per run of blocks
-        prev: dict = {}
-        for b in blocks:
-            m = np.size(b.x)
-            cur = {id(v): prev.get(id(v)) or _column(v, fh is not None)
-                   for v in b if isinstance(v, np.ndarray)}
-            rows.extend(map(tuple.__new__, repeat(type(b)), zip(*(
-                cur[id(v)][0] if isinstance(v, np.ndarray) else repeat(v, m)
-                for v in b))))
-            if fh is not None:
-                cols = [cur[id(v)][1] if isinstance(v, np.ndarray)
-                        else repeat(_text(v), m) for v in b]
+            for _, cols in _block_columns(blocks, _column_text, _text):
                 fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
-            prev = cur
     if out_json is not None:
         with open(out_json, "w") as fh:
             json.dump(summary, fh, sort_keys=True, indent=2)
             fh.write("\n")
-    return rows
+    return _Rows(blocks)
 
 
 def _write_plot_script(path: str, csv_path: str,

@@ -1,8 +1,10 @@
 """Verification harness: determinism, schemas, emission, CLI wiring."""
 
 import csv
+import gc
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -419,3 +421,96 @@ def test_cli_refuses_flags_the_command_does_not_read(argv, capsys):
         cli_main(argv + ["--psi", json.dumps(GEOMETRIC), "--n", "4"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _rows_from_csv(path, cls, types):
+    """The rows rebuilt from the CSV text: an empty field is None, a bool
+    field 1/0, and any other field its declared type (float by default)."""
+    with open(path, newline="") as fh:
+        got = list(csv.reader(fh))
+    assert got[0] == list(cls._fields)
+
+    def value(name, text):
+        if text == "":
+            return None
+        kind = types.get(name, float)
+        return text == "1" if kind is bool else kind(text)
+
+    return [cls(*map(value, cls._fields, line)) for line in got[1:]]
+
+
+PLAIN = {str, float, int, bool, type(None)}
+ROW_VIEWS = {
+    "verify": (verify_lebesgue, ExperimentConfig(
+        psi_specs=(EVEN_ODD, GEOMETRIC), n_list=(3, 5), n_functions=6,
+        x_grid=16, with_duality=True), {
+        "psi": str, "n": int, "phi_index": int, "ok_thm1": bool,
+        "ok_dual_in_thm2": bool}),
+    "classical": (classical_lebesgue_check, ExperimentConfig(
+        psi_specs=(EVEN_ODD, GEOMETRIC), n_list=(3,), n_functions=4,
+        x_grid=16), {"psi": str, "n": int, "phi_index": int, "ok": bool}),
+    "sharpness": (sharpness_probe, ExperimentConfig(
+        psi_specs=(EVEN_ODD, GEOMETRIC), n_list=(4, 8)),
+        {"psi": str, "n": int}),
+}
+
+
+@pytest.mark.parametrize("case", ROW_VIEWS)
+def test_rows_view_behaves_like_the_list_it_replaces(tmp_path, case):
+    """The returned rows, made per block on access, are the rows of the
+    CSV: in length, iteration, indexing (a middle block's first and last
+    row too), slicing, equality and types."""
+    check, cfg, types = ROW_VIEWS[case]
+    rows, _ = check(cfg, out_csv=str(tmp_path / "r.csv"))
+    want = _rows_from_csv(tmp_path / "r.csv", type(rows[0]), types)
+    assert len(rows) == len(want) > 0
+    assert list(rows) == want and list(rows) == want    # iterates again
+    assert rows == list(rows) and list(rows) == rows
+    assert rows != want[:-1] and rows != want[1:] + want[:1]
+
+    key = lambda r: (r.psi, r.n, getattr(r, "phi_index", None))
+    starts = [k for k in range(len(want))
+              if k == 0 or key(want[k]) != key(want[k - 1])]
+    assert len(starts) >= 3
+    first = starts[len(starts) // 2]
+    last = starts[len(starts) // 2 + 1] - 1
+    for k in (0, -1, first - 1, first, last, last + 1, -len(want)):
+        assert rows[k] == want[k]
+        assert type(rows[k]) is type(want[k])
+        assert all(type(v) in PLAIN for v in rows[k]), rows[k]
+    assert rows[first - 1:last + 2] == want[first - 1:last + 2]
+    assert rows[::-5] == want[::-5]
+    assert rows[len(want) + 3:] == []
+    for k in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            rows[k]
+    with pytest.raises(TypeError):
+        rows[0] = want[1]
+    assert rows[last]._asdict() == want[last]._asdict()
+    assert all(type(v) in PLAIN for r in rows for v in r)
+
+
+def _traced_peak(check, n_functions, path):
+    cfg = ExperimentConfig(psi_specs=(GEOMETRIC,), n_list=(4,),
+                           n_functions=n_functions, x_grid=2048)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rows, _ = check(cfg, out_csv=str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return len(rows), peak
+
+
+@pytest.mark.parametrize("check", [verify_lebesgue, classical_lebesgue_check])
+def test_memory_per_row_stays_small(tmp_path, check):
+    """A run with the CSV holds no per-row objects: from 8 to 32 functions
+    (16,384 to 65,536 rows) the traced peak grows by under 100 bytes a
+    row.  A list of row tuples costs about 260 bytes a row."""
+    path = tmp_path / "m.csv"
+    _traced_peak(check, 1, path)    # the memos and caches fill here
+    rows8, peak8 = _traced_peak(check, 8, path)
+    rows32, peak32 = _traced_peak(check, 32, path)
+    assert rows32 - rows8 == 24 * 2048
+    assert (peak32 - peak8) / (rows32 - rows8) < 100
