@@ -142,10 +142,10 @@ class PsiFamily:
     public operations are safe for concurrent use.  The three cached sums
     read the suffix sums alone: tail_sum one entry, weighted_tail the sum
     of the entries past n, and double_tail one entry per block.  One
-    certify-or-grow loop decides how far it grows: tail_sum,
-    weighted_tail, the cached double_tail and truncation_order all double
-    it until a majorant certifies, clamped to the term budget, and raise
-    SlowConvergence at the budget.
+    certify-or-grow loop decides how far it grows: the three sums of a
+    family without a closed form, and truncation_order, all double it
+    until a majorant certifies, clamped to the term budget, and raise
+    SlowConvergence at the budget.  Closed forms grow nothing.
     """
 
     kind: str = "abstract"
@@ -179,18 +179,6 @@ class PsiFamily:
 
     def _closed_double(self, n: int, k_start: int) -> CertifiedSum | None:
         return None
-
-    def _closed_double_blocks(self, n: int, k_start: int,
-                              kmax: int) -> tuple[float, float, float]:
-        """Optional hook for families whose block tails have closed forms.
-
-        Returns (lo, width, trunc): sum_{k>=k_start} tail(n + k(2n-1)) lies
-        in [lo, lo + width], where blocks k_start..kmax are summed and the
-        rest is bracketed; trunc is the part of width that the bracket
-        contributes, which shrinks as kmax grows.  double_tail calls it
-        only when a subclass overrides it.
-        """
-        raise NotImplementedError
 
     def _lambda_analytic(self, t: float) -> float | None:
         return None
@@ -254,6 +242,13 @@ class PsiFamily:
 # ---------------------------------------------------------------------------
 
 
+def _index(n) -> int:
+    """n as an int, checked before any closed form reads it."""
+    if n < 1 or n != int(n):
+        raise ValueError("n must be a positive integer")
+    return int(n)
+
+
 def _certified(psi, n, rel_tol, budget, compute, what, rem_at=None):
     """The one loop that grows a family's cache until a majorant certifies.
 
@@ -271,8 +266,6 @@ def _certified(psi, n, rel_tol, budget, compute, what, rem_at=None):
     """
     rel_tol = psi.default_rel_tol if rel_tol is None else float(rel_tol)
     budget = DEFAULT_TERM_BUDGET if budget is None else int(budget)
-    if n < 1 or n != int(n):
-        raise ValueError("n must be a positive integer")
     psi._ensure(min(budget, n + 64))
     while True:
         value, rem, used = compute()
@@ -294,7 +287,8 @@ def _certified(psi, n, rel_tol, budget, compute, what, rem_at=None):
 def tail_sum(psi: PsiFamily, n: int, rel_tol: float | None = None,
              budget: int | None = None) -> CertifiedSum:
     """Certified sum_{k>=n} psi(k)."""
-    closed = psi._closed_tail(int(n))
+    n = _index(n)
+    closed = psi._closed_tail(n)
     if closed is not None:
         return closed
 
@@ -303,7 +297,7 @@ def tail_sum(psi: PsiFamily, n: int, rel_tol: float | None = None,
         C = len(vals)
         return suf[n - 1], psi._tail_remainder(C), C - n + 1
 
-    return _certified(psi, int(n), rel_tol, budget, compute, "tail_sum",
+    return _certified(psi, n, rel_tol, budget, compute, "tail_sum",
                       psi._tail_remainder)
 
 
@@ -313,7 +307,7 @@ def weighted_tail(psi: PsiFamily, n: int, rel_tol: float | None = None,
 
     Families without a closed form read it as the sum of the cached suffix
     sums past n."""
-    n = int(n)
+    n = _index(n)
     closed = psi._closed_weighted(n)
     if closed is not None:
         return closed
@@ -337,32 +331,11 @@ def double_tail(psi: PsiFamily, n: int, rel_tol: float | None = None,
     tail_sum(n) block (the form used by the summed-tail comparison check
     and by the duality remainder).
     """
-    n = int(n)
+    n = _index(n)
     closed = psi._closed_double(n, k_start)
     if closed is not None:
         return closed
     s = 2 * n - 1
-
-    if n >= 1 and (type(psi)._closed_double_blocks
-                   is not PsiFamily._closed_double_blocks):
-        # one closed evaluation per block replaces n + k(2n-1) cached
-        # terms; only the bracket on the dropped blocks is held to rel_tol,
-        # since the block enclosures' rounding does not shrink with kmax
-        rel = psi.default_rel_tol if rel_tol is None else float(rel_tol)
-        bud = DEFAULT_TERM_BUDGET if budget is None else int(budget)
-        kmax = k_start + 15
-        while True:
-            lo, width, trunc = psi._closed_double_blocks(n, k_start, kmax)
-            blocks = kmax - k_start + 1
-            if (trunc <= rel * lo) or (lo == 0.0 and trunc == 0.0):
-                return CertifiedSum(float(lo), float(width), int(blocks))
-            if blocks >= bud:
-                raise SlowConvergence(
-                    f"{psi.label()}: double_tail at n={n} did not certify within "
-                    f"{bud} exact tail blocks; relax rel_tol or raise the budget",
-                    terms_used=int(blocks),
-                )
-            kmax = k_start + min(bud, 2 * blocks) - 1
 
     def compute():
         vals, suf = psi._cache
@@ -411,7 +384,7 @@ def truncation_order(psi: PsiFamily, rel_tol: float = 1e-12,
     certifies, then K is found by bisection below it (every family's
     remainder bound decreases in K), so K is not the cache length.
     """
-    n = int(n)
+    n = _index(n)
     tail = tail_sum(psi, n, rel_tol, budget).value
     scale = tail if tail > 0.0 else 1.0
 
@@ -610,7 +583,7 @@ def _gamma(k: float) -> float:
 
 
 def hurwitz_zeta(s: float, a) -> tuple[np.ndarray, np.ndarray]:
-    """Enclosure of zeta(s, a) = sum_{k>=0} (a+k)^(-s), real s > 1, a >= 1.
+    """Enclosure of zeta(s, a) = sum_{k>=0} (a+k)^(-s), real s > 1, a > 0.
 
     Returns arrays (lo, width), shaped like a, with
     lo <= zeta(s, a) <= lo + width for the float a given.
@@ -635,12 +608,17 @@ def hurwitz_zeta(s: float, a) -> tuple[np.ndarray, np.ndarray]:
     Rounding is counted a priori in units of u = 2^-53: s u for the
     rounding of a + k raised to the power -s, 4 ulps for each library pow,
     one per other operation, combined by Higham's gamma_k; plus an
-    absolute allowance for underflow.
+    absolute allowance for underflow.  The count holds for a < 1 as well:
+    the first head term raises a itself, which is exact, every later a + k
+    rounds once, the head terms are all positive, and the error term below
+    counts the N - 1 head additions from the N actually taken (at most
+    ceil(s + 20)).  x = a + N >= s + 20 still, so the Euler-Maclaurin part
+    is unchanged.  For tiny a, a^(-s) can overflow; lo is then not finite.
     """
     s = float(s)
     a = np.asarray(a, dtype=np.float64)
-    if not (s > 1.0 and np.all(a >= 1.0)):
-        raise ValueError("hurwitz_zeta needs s > 1 and a >= 1")
+    if not (s > 1.0 and np.all(a > 0.0)):
+        raise ValueError("hurwitz_zeta needs s > 1 and a > 0")
     N = np.maximum(np.ceil(s + _EM_SHIFT - a), 0.0)
     x = a + N
     head = np.zeros_like(x)
@@ -679,18 +657,15 @@ def hurwitz_zeta(s: float, a) -> tuple[np.ndarray, np.ndarray]:
 class Power(PsiFamily):
     """psi(k) = k^(-r).  Requires r > 2 so that sum k psi(k) converges.
 
-    Single and k-weighted tails are Hurwitz zeta values: tail_sum(n) is
-    zeta(r, n) and n weighted_tail(n) is zeta(r-1, n+1) - n zeta(r, n+1).
-    Both come from hurwitz_zeta, whose enclosure counts truncation and
-    rounding, so their remainder_bound is small but not zero.  The double
-    tail sums enclosed blocks zeta(r, n + k(2n-1)) and brackets the dropped
-    ones in closed form; the bracket narrows like K^(1-r)/(2n-1) in the
-    block count K.  The default tolerance keeps that count in the tens to
-    low hundreds; pass rel_tol explicitly for tighter double tails.
+    All three tails are Hurwitz zeta values: tail_sum(n) is zeta(r, n),
+    n weighted_tail(n) is zeta(r-1, n+1) - n zeta(r, n+1), and with
+    s = 2n-1, n' = n + k_start s and a_j = (n'+j)/s the double tail is
+    s^-r sum_{j<s} [zeta(r-1, a_j) + (1 - a_j) zeta(r, a_j)].  Each comes
+    from hurwitz_zeta, whose enclosure counts truncation and rounding, so
+    their remainder_bound is small but not zero, and none reads the cache.
     """
 
     kind = "power"
-    default_rel_tol = 1e-4
 
     def __init__(self, r: float):
         if not r > 2.0:
@@ -727,30 +702,33 @@ class Power(PsiFamily):
         return CertifiedSum(float((lo1 - sub - slack) / n),
                             float((w1 + n * w2 + 2.0 * slack) / n), 0)
 
-    def _closed_double_blocks(self, n, k_start, kmax):
+    def _closed_double(self, n, k_start):
+        # nu = n' + j + qs with 0 <= j < s lies in q + 1 blocks, so
+        # D = s^-r sum_j g(a_j), g(a) = sum_{q>=0} (q+1) (a+q)^-r
+        # = zeta(r-1, a) + (1-a) zeta(r, a), a_j = (n'+j)/s
         r, s = self.r, 2 * n - 1
-        lo, width = hurwitz_zeta(
-            r, n + s * np.arange(k_start, kmax + 1, dtype=np.float64))
-        # beyond kmax, zeta(r, m) lies in [m^(1-r)/(r-1), m^(1-r)/(r-1) + m^-r]
-        # by the integral test; summed over m = n + ks, k > kmax, the two
-        # ends are s^(1-r) zeta(r-1, a)/(r-1) and s^-r zeta(r, a) more, with
-        # a = kmax + 1 + n/s.  The two roundings in a move zeta(e, a) by a
-        # factor within 1 +- 2 e u (|d ln zeta(e, a)/d ln a| <= e), and each
-        # end costs 4 ulps of pow and at most six other roundings.
-        a = kmax + 1 + n / s
-        i_lo, i_w = hurwitz_zeta(r - 1.0, a)
-        e_lo, e_w = hurwitz_zeta(r, a)
-        g = _gamma(2.0 * r + 10.0)
-        f = s ** -r
-        out_lo = f * s * i_lo / (r - 1.0) * (1.0 - g)
-        out_hi = (f * s * (i_lo + i_w) / (r - 1.0) + f * (e_lo + e_w)) * (1.0 + g)
-        trunc = out_hi - out_lo
-        total_lo = math.fsum(lo) + out_lo
-        total_w = math.fsum(width) + trunc
-        # the fsums, the additions, trunc, the two slack terms and the sum
-        # in hi: at most ten roundings reach either end
-        slack = _gamma(10.0) * (total_lo + total_w)
-        return total_lo - slack, total_w + 2.0 * slack, trunc
+        a = (n + k_start * s + np.arange(s, dtype=np.float64)) / s
+        lo1, w1 = hurwitz_zeta(r - 1.0, a)
+        lo2, w2 = hurwitz_zeta(r, a)
+        c = 1.0 - a
+        # 1 - a is negative past a = 1, so each end takes its product by sign
+        p, q = c * lo2, c * (lo2 + w2)
+        g_lo = math.fsum(lo1 + np.minimum(p, q))
+        g_hi = math.fsum(lo1 + w1 + np.maximum(p, q))
+        size = math.fsum(lo1 + w1 + np.abs(q))
+        # The rounding of a_j moves g(a_j) by a factor within 1 +- r u
+        # (|d ln g/d ln a| <= r).  Each end rounds 1 - a, zeta's upper end,
+        # the product and two additions; then come the fsum, 4 ulps for each
+        # of the two pows s^(-r/2), the two products by them, the width's
+        # subtraction, the two slack terms and the sum in hi.  Each rounding
+        # is relative to at most size, the sum of the magnitudes.  Taking
+        # s^-r in two halves keeps the products normal while the result
+        # is; a subnormal half or product adds an absolute error.
+        h = s ** (-0.5 * r)
+        slack = _gamma(r + 21.0) * h * (h * size) \
+            + 8.0 * _TINY * (1.0 + h * size)
+        return CertifiedSum(h * (h * g_lo) - slack,
+                            h * (h * (g_hi - g_lo)) + 2.0 * slack, 0)
 
     def _lambda_analytic(self, t):
         return t / self.r

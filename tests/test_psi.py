@@ -189,10 +189,22 @@ def test_slow_convergence_reports_terms():
         weighted_tail(psi, 3, rel_tol=1e-12, budget=10_000)
     assert exc.value.terms_used >= 10_000
     assert len(psi._vals) <= 10_000
-    # the power double tail counts closed-form blocks against the budget
-    with pytest.raises(SlowConvergence) as exc:
-        double_tail(Power(2.05), 3, rel_tol=1e-15, budget=100)
-    assert exc.value.terms_used == 100
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.5])
+@pytest.mark.parametrize("total", [tail_sum, weighted_tail, double_tail],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("make", [
+    lambda: Geometric(0.5),
+    lambda: EvenOdd(0.9, 0.5),
+    lambda: GenPoisson(1.0, 1.0),
+    lambda: Power(3.0),
+    lambda: Neumann(0.5),
+], ids=["geometric", "even_odd", "gen_poisson_r1", "power", "neumann"])
+def test_sums_reject_bad_n(make, total, n):
+    # n is checked before a closed form reads it
+    with pytest.raises(ValueError):
+        total(make(), n)
 
 
 def test_limit_ratio_zero_tail_raises():
@@ -501,11 +513,25 @@ def test_hurwitz_zeta_encloses_mpmath():
                 assert _encloses(li, wi, mpmath.zeta(si, ai)), (si, ai)
 
 
+def test_hurwitz_zeta_below_one_encloses_mpmath():
+    """a in (0, 1), where the head's first term is a^-s itself, as the
+    power double tail needs for a_0 = n/(2n-1)."""
+    a = np.array([0.3, 0.5, 0.5 + 2.0 ** -52, 2.0 / 3.0, 0.77, 0.999])
+    with mpmath.workdps(40):
+        for s in (1.05, 2.05, 3.0, 4.5, 9.0):
+            lo, width = hurwitz_zeta(s, a)
+            assert np.all(width > 0.0) and np.all(width <= 1e-12 * lo)
+            for li, wi, ai in zip(lo, width, a):
+                assert _encloses(li, wi, mpmath.zeta(s, ai)), (s, ai)
+
+
 def test_hurwitz_zeta_rejects_outside_domain():
     with pytest.raises(ValueError):
         hurwitz_zeta(1.0, 2.0)
     with pytest.raises(ValueError):
-        hurwitz_zeta(3.0, np.array([2.0, 0.5]))
+        hurwitz_zeta(3.0, np.array([2.0, 0.0]))
+    with pytest.raises(ValueError):
+        hurwitz_zeta(3.0, -0.5)
 
 
 def _double_tail_mpmath(r, n, k_start):
@@ -531,8 +557,8 @@ def _double_tail_mpmath(r, n, k_start):
 @pytest.mark.parametrize("r", [2.05, 3.0, 4.5])
 def test_power_tails_enclose_mpmath(r):
     """tail_sum = zeta(r, n), weighted_tail = (zeta(r-1, n+1) -
-    n zeta(r, n+1))/n and, for r in {3, 4.5}, both double tails enclose
-    40-digit mpmath values at a seeded sample of n <= 400."""
+    n zeta(r, n+1))/n and both double tails enclose 40-digit mpmath
+    values at a seeded sample of n <= 400."""
     psi = Power(r)
     ns = np.random.default_rng(int(10 * r)).choice(
         np.arange(2, 401), 24, replace=False).tolist() + [1]
@@ -544,22 +570,54 @@ def test_power_tails_enclose_mpmath(r):
                              mpmath.zeta(r, n)), n
             w = (mpmath.zeta(r - 1, n + 1) - n * mpmath.zeta(r, n + 1)) / n
             assert _encloses(W.value, W.remainder_bound, w), n
-        if r == 2.05:
-            return
-        for n in ns[:4] + [1]:
+        for n in ns[:6] + [1]:
             for k_start in (0, 1):
                 D = double_tail(psi, n, k_start=k_start)
                 assert _encloses(D.value, D.remainder_bound,
                                  _double_tail_mpmath(r, n, k_start)), (n, k_start)
 
 
-def test_power_double_tail_needs_few_blocks():
-    # the closed-form bracket on the dropped blocks narrows like
-    # K^(1-r)/(2n-1), so about a hundred blocks meet the default rel_tol
+def test_power_double_tail_is_closed():
+    # the lattice identity reads no cache and leaves only the rounding of
+    # its Hurwitz zeta enclosures
     psi = Power(3.0)
     for n in range(1, 201):
         for k_start in (0, 1):
-            assert double_tail(psi, n, k_start=k_start).terms_used <= 256
+            D = double_tail(psi, n, k_start=k_start)
+            assert D.terms_used == 0 and len(psi._vals) == 0
+            assert 0.0 < D.remainder_bound <= 1e-12 * D.value, (n, k_start)
+
+
+def test_power_double_tail_takes_each_product_end_by_sign(monkeypatch):
+    """The enclosure must hold wherever the true zeta values lie in their
+    intervals.  A stand-in for hurwitz_zeta puts zeta(r-1, a) at the lower
+    end of a 1e-6-wide interval and zeta(r, a) at the upper end.  With
+    k_start = 1 every 1 - a_j is negative, so a lower end that took
+    (1 - a_j) times zeta(r, a_j)'s lower end would lie above the sum."""
+    r = 3.0
+
+    def zeta_at_an_end(s, a):
+        z = np.array([float(mpmath.zeta(s, ai)) for ai in np.atleast_1d(a)])
+        return (z if s == r - 1.0 else z * (1.0 - 1e-6)), 1e-6 * z
+
+    monkeypatch.setattr("psikern.psi.hurwitz_zeta", zeta_at_an_end)
+    with mpmath.workdps(40):
+        for n in (1, 4, 17):
+            D = double_tail(Power(r), n, k_start=1)
+            assert _encloses(D.value, D.remainder_bound,
+                             _double_tail_mpmath(r, n, 1)), n
+
+
+@pytest.mark.parametrize("r", [2.05, 3.0, 4.5])
+def test_power_double_tail_anchors_at_n1(r):
+    # at n = 1 every nu lies in nu blocks: D = zeta(r-1), and dropping the
+    # first block leaves zeta(r-1) - zeta(r)
+    psi = Power(r)
+    with mpmath.workdps(40):
+        z1, z = mpmath.zeta(r - 1), mpmath.zeta(r)
+        for k_start, true in ((0, z1), (1, z1 - z)):
+            D = double_tail(psi, 1, k_start=k_start)
+            assert _encloses(D.value, D.remainder_bound, true), k_start
 
 
 def test_import_and_power_tails_load_no_scipy():
