@@ -52,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SolverStall
-from .trig import TrigPoly, _sample, _sample_grid
+from .trig import TrigPoly, _sample, _sample_grid, _uniform_grid
 
 REDCOST_TOL = 1e-9
 PIVOT_TOL = 1e-10
@@ -125,8 +125,7 @@ def _grid_size(n: int, M: int | None) -> int:
 
 
 def _grid(n: int, M: int | None) -> np.ndarray:
-    M = _grid_size(n, M)
-    return 2.0 * math.pi * np.arange(M) / M
+    return _uniform_grid(_grid_size(n, M))
 
 
 def _block_solve(A: np.ndarray, b: np.ndarray, it: int,

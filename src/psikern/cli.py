@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .bounds import (
 from .errors import PsikernError
 from .harness import (
     ExperimentConfig,
+    _write_csv,
     classical_lebesgue_check,
     sharpness_probe,
     verify_lebesgue,
@@ -37,7 +39,12 @@ from .psi import (
     tail_sum,
     weighted_tail,
 )
-from .trig import TrigPoly
+from .trig import TrigPoly, _uniform_grid
+
+# the tables of the lebesgue and bounds commands, each one CSV block
+_LebesgueTable = namedtuple("_LebesgueTable", "x lebesgue residual")
+_BoundsTable = namedtuple("_BoundsTable", "x rhs_thm1 rhs_thm1_modified "
+                          "thm2_lo thm2_hi dual_lo dual_hi")
 
 
 def _parse_n_list(text: str) -> tuple:
@@ -125,16 +132,22 @@ def _cmd_classical(args) -> int:
     return 0 if summary["fail"] == 0 else 1
 
 
+def _write_table(table, out_csv: str | None) -> None:
+    """table as CSV to the file out_csv, or to stdout without one."""
+    if not out_csv:
+        _write_csv(sys.stdout, [table])
+        return
+    with open(out_csv, "w", newline="") as fh:
+        _write_csv(fh, [table])
+
+
 def _cmd_lebesgue(args) -> int:
     n = int(args.order)
-    xg = 2.0 * np.pi * np.arange(args.grid) / args.grid
+    xg = _uniform_grid(args.grid)
     L = lebesgue_fn(n, xg)
     R = lebesgue_residual(n, xg)
     if args.out_csv:
-        with open(args.out_csv, "w") as fh:
-            fh.write("x,lebesgue,residual\n")
-            for x, lv, rv in zip(xg.tolist(), L.tolist(), R.tolist()):
-                fh.write(f"{x!r},{lv!r},{rv!r}\n")
+        _write_table(_LebesgueTable(xg, L, R), args.out_csv)
     node_val = float(lebesgue_fn(n, nodes(n).nodes[0]))
     print(f"lebesgue: n={n} max={float(np.max(L)):.6f} "
           f"max|residual|={float(np.max(np.abs(R))):.6f} node_value={node_val!r}")
@@ -145,24 +158,19 @@ def _cmd_bounds(args) -> int:
     psi = psi_from_dict(json.loads(args.psi))
     n = int(args.order)
     beta = args.beta or 0.0
-    m = args.x_grid or 64
-    xg = 2.0 * np.pi * np.arange(m) / m
+    xg = _uniform_grid(args.x_grid or 64)
+    # cached sums tighten as the caches grow, so the columns are taken in
+    # this order: thm1, thm1-modified, thm2, then duality
     r1 = thm1_rhs(psi, n, xg, args.E)
     rm = thm1_rhs_modified(psi, n, xg, args.E)
     t2 = thm2_sup_bracket(psi, beta, n, xg)
-    cols = [list(map(repr, c.tolist())) for c in (xg, r1, rm, t2.lo, t2.hi)]
+    dual_lo = dual_hi = None
     if args.with_duality:
         dual = duality_sup_batch(psi, beta, n, xg, args.duality_grid)
-        cols += [[repr(iv.lo) for iv in dual], [repr(iv.hi) for iv in dual]]
-    else:
-        cols += [[""] * m] * 2
-    text = "x,rhs_thm1,rhs_thm1_modified,thm2_lo,thm2_hi,dual_lo,dual_hi\n" \
-        + "".join(",".join(r) + "\n" for r in zip(*cols))
-    if args.out_csv:
-        with open(args.out_csv, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        dual_lo = np.array([iv.lo for iv in dual])
+        dual_hi = np.array([iv.hi for iv in dual])
+    _write_table(_BoundsTable(xg, r1, rm, t2.lo, t2.hi, dual_lo, dual_hi),
+                 args.out_csv)
     return 0
 
 

@@ -41,7 +41,7 @@ from .bounds import (
 from .errors import TrendViolation
 from .interp import grid_deviation, lebesgue_fn
 from .psi import PsiFamily, limit_ratio, psi_from_dict, tail_sum
-from .trig import KernelSpec, TrigPoly, psi_integral
+from .trig import KernelSpec, TrigPoly, _uniform_grid, psi_integral
 
 PI = math.pi
 
@@ -175,10 +175,6 @@ def _corpus(config: ExperimentConfig, cells: list):
         yield ci, i, psi, n, phi, f
 
 
-def _x_grid(config: ExperimentConfig) -> np.ndarray:
-    return 2.0 * PI * np.arange(config.x_grid) / config.x_grid
-
-
 def verify_lebesgue(config: ExperimentConfig,
                     out_csv: str | None = None,
                     out_json: str | None = None,
@@ -188,7 +184,7 @@ def verify_lebesgue(config: ExperimentConfig,
     BoundReport, summary the failures under the slack
     slack_scale * (1 + |lhs| + |rhs|)."""
     cells = _cells(config)
-    xg = _x_grid(config)
+    xg = _uniform_grid(config.x_grid)
     cell_reports = []
     for psi, n in cells:
         # cached tail sums tighten as the cache grows, so a cell's bounds
@@ -243,26 +239,23 @@ def sharpness_probe(config: ExperimentConfig,
     Raises TrendViolation the moment a ratio leaves its envelope (beyond
     the certified numeric slack)."""
     blocks = []
-    for spec in config.psi_specs:
-        psi = psi_from_dict(dict(spec))
-        for n in config.n_list:
-            n = int(n)
-            x = PI / (2 * n - 1)
-            T = tail_sum(psi, n)
-            lr = limit_ratio(psi, n)
-            iv = duality_sup(psi, config.beta, n, x, config.duality_grid)
-            denom = sine_factor(n, x) * T.value
-            ratio = iv.mid / denom
-            eps = 0.5 * iv.width / denom \
-                + abs(ratio) * T.remainder_bound / T.value + 1e-9
-            env_lo = 1.0 - (1.0 + PI) * lr
-            env_hi = 1.0 + lr
-            if not env_lo - eps <= ratio <= env_hi + eps:
-                raise TrendViolation(
-                    f"{psi.label()} n={n}: ratio {ratio:.6f} outside "
-                    f"[{env_lo:.6f}, {env_hi:.6f}] (slack {eps:.2e})")
-            blocks.append(SharpnessRow(psi.label(), n, x, ratio, env_lo,
-                                       env_hi, abs(ratio - 1.0), lr))
+    for psi, n in _cells(config):
+        x = PI / (2 * n - 1)
+        T = tail_sum(psi, n)
+        lr = limit_ratio(psi, n)
+        iv = duality_sup(psi, config.beta, n, x, config.duality_grid)
+        denom = sine_factor(n, x) * T.value
+        ratio = iv.mid / denom
+        eps = 0.5 * iv.width / denom \
+            + abs(ratio) * T.remainder_bound / T.value + 1e-9
+        env_lo = 1.0 - (1.0 + PI) * lr
+        env_hi = 1.0 + lr
+        if not env_lo - eps <= ratio <= env_hi + eps:
+            raise TrendViolation(
+                f"{psi.label()} n={n}: ratio {ratio:.6f} outside "
+                f"[{env_lo:.6f}, {env_hi:.6f}] (slack {eps:.2e})")
+        blocks.append(SharpnessRow(psi.label(), n, x, ratio, env_lo,
+                                   env_hi, abs(ratio - 1.0), lr))
     blocks.sort(key=lambda r: (r.psi, r.n))
     summary = {"pass": len(blocks), "fail": 0, "worst_ratio": max(
         (r.gap_to_one for r in blocks), default=0.0)}
@@ -278,7 +271,7 @@ def classical_lebesgue_check(config: ExperimentConfig,
     asserted."""
     cells = _cells(config)
     labels = [psi.label() for psi, _ in cells]
-    xg = _x_grid(config)
+    xg = _uniform_grid(config.x_grid)
     # 1 + L_n on the x grid depends on n alone; thm1 is taken per cell at
     # E = 1, before the corpus grows the caches, and scaled per function
     leb1 = {n: 1.0 + lebesgue_fn(n, xg) for n in {n for _, n in cells}}
@@ -399,22 +392,29 @@ class _Rows(Sequence):
         return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
+def _write_csv(fh, blocks: list) -> None:
+    """The blocks as CSV on the open text file fh: a header of the field
+    names, then one line per row.
+
+    A block holds rows as a row NamedTuple with an x field, whose fields
+    are numpy columns or single values repeated down the block.  The CSV
+    text is made per block from each column's values and written in one
+    piece, so the text of only one block is held at a time."""
+    if not any(np.size(b.x) for b in blocks):
+        raise ValueError("no rows to write")
+    csv.writer(fh, lineterminator="\n").writerow(blocks[0]._fields)
+    for _, cols in _block_columns(blocks, _column_text, _text):
+        fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
+
+
 def _emit(blocks: list, summary: dict,
           out_csv: str | None, out_json: str | None) -> _Rows:
-    """The rows of the sorted blocks, and their CSV and JSON files.
-
-    A block holds the rows of one test function (or one sharpness row) as
-    a row NamedTuple whose fields are numpy columns or single values
-    repeated down the block.  The rows are a _Rows view over the blocks.
-    The CSV text is made per block from each column's values and written
-    in one piece, so the text of only one block is held at a time."""
+    """The rows of the sorted blocks, a _Rows view over them, and their
+    CSV (see _write_csv) and JSON files.  A block holds the rows of one
+    test function, or one sharpness row."""
     if out_csv is not None:
-        if not any(np.size(b.x) for b in blocks):
-            raise ValueError("no rows to write")
         with open(out_csv, "w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerow(blocks[0]._fields)
-            for _, cols in _block_columns(blocks, _column_text, _text):
-                fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
+            _write_csv(fh, blocks)
     if out_json is not None:
         with open(out_json, "w") as fh:
             json.dump(summary, fh, sort_keys=True, indent=2)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trig import TrigPoly, _sample, _sample_grid, dirichlet
+from .trig import (TrigPoly, _pointwise, _sample, _sample_grid,
+                   _uniform_grid, dirichlet)
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,7 @@ class NodeSet:
 
 
 def nodes(n: int) -> NodeSet:
-    N = 2 * n - 1
-    return NodeSet(n, 2.0 * math.pi * np.arange(N) / N)
+    return NodeSet(n, _uniform_grid(2 * n - 1))
 
 
 def interpolate(samples, n: int) -> TrigPoly:
@@ -61,6 +61,7 @@ def interpolate(samples, n: int) -> TrigPoly:
     return TrigPoly(a0, a, b)
 
 
+@_pointwise
 def node_sum_eval(samples, n: int, x):
     """Interpolant evaluated through the Dirichlet form
     (2/N) sum_k f(x_k) D_{n-1}(x - x_k); the coefficient-free route.
@@ -72,23 +73,16 @@ def node_sum_eval(samples, n: int, x):
     N = 2 * n - 1
     if s.shape != (N,):
         raise ValueError(f"expected {N} samples, got shape {s.shape}")
-    xv = np.asarray(x, dtype=np.float64)
-    scalar = xv.ndim == 0
-    xv = np.atleast_1d(xv)
     xk = nodes(n).nodes
-    D = dirichlet(n, xv[:, None] - xk[None, :])
-    out = 2.0 / N * (D @ s)
-    return float(out[0]) if scalar else out
+    D = dirichlet(n, x[:, None] - xk[None, :])
+    return 2.0 / N * (D @ s)
 
 
+@_pointwise
 def deviation(f, n: int, x):
     """rho_n(f; x) = f(x) - S_{n-1}(f; x); vanishes at every node."""
     p = interpolate(_sample_grid(f, 2 * n - 1), n)
-    xv = np.asarray(x, dtype=np.float64)
-    scalar = xv.ndim == 0
-    xv = np.atleast_1d(xv)
-    out = _sample(f, xv) - p(xv)
-    return float(out[0]) if scalar else out
+    return _sample(f, x) - p(x)
 
 
 def grid_deviation(f, n: int, N: int) -> np.ndarray:
@@ -99,15 +93,12 @@ def grid_deviation(f, n: int, N: int) -> np.ndarray:
     return _sample_grid(f, N) - _sample_grid(p, N)
 
 
+@_pointwise
 def lebesgue_fn(n: int, x):
     """L_n(x) = (2/(2n-1)) sum_k |D_{n-1}(x - x_k)|; >= 1 with equality at nodes."""
-    xv = np.asarray(x, dtype=np.float64)
-    scalar = xv.ndim == 0
-    xv = np.atleast_1d(xv)
     xk = nodes(n).nodes
-    D = dirichlet(n, xv[:, None] - xk[None, :])
-    out = 2.0 / (2 * n - 1) * np.sum(np.abs(D), axis=1)
-    return float(out[0]) if scalar else out
+    D = dirichlet(n, x[:, None] - xk[None, :])
+    return 2.0 / (2 * n - 1) * np.sum(np.abs(D), axis=1)
 
 
 def sine_factor(n: int, x):
@@ -118,14 +109,11 @@ def sine_factor(n: int, x):
     return 2.0 / math.pi * abs(sin((2 * n - 1) * x / 2.0))
 
 
+@_pointwise
 def lebesgue_residual(n: int, x):
     """L_n(x) - (2/pi)|sin((2n-1)x/2)| ln n: the bounded part of the
     Lebesgue function's growth.  Equals 1 at nodes (the sine factor
     vanishes there)."""
     if n < 2:
         raise ValueError("residual needs n >= 2 (ln n term)")
-    xv = np.asarray(x, dtype=np.float64)
-    scalar = xv.ndim == 0
-    xv = np.atleast_1d(xv)
-    out = lebesgue_fn(n, xv) - sine_factor(n, xv) * math.log(n)
-    return float(out[0]) if scalar else out
+    return lebesgue_fn(n, x) - sine_factor(n, x) * math.log(n)

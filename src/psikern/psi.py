@@ -143,9 +143,12 @@ class PsiFamily:
     read the suffix sums alone: tail_sum one entry, weighted_tail the sum
     of the entries past n, and double_tail one entry per block.  One
     certify-or-grow loop decides how far it grows: the three sums of a
-    family without a closed form, and truncation_order, all double it
-    until a majorant certifies, clamped to the term budget, and raise
-    SlowConvergence at the budget.  Closed forms grow nothing.
+    family without a closed form, and truncation_order, each hand it a
+    reader of their value from one cache snapshot and their remainder as
+    a function of the cache length, stated once.  The loop doubles the
+    cache until that remainder certifies, clamped to the term budget, and
+    raises SlowConvergence at the budget, or at once when the remainder
+    at the budget cannot certify.  Closed forms grow nothing.
     """
 
     kind: str = "abstract"
@@ -249,31 +252,30 @@ def _index(n) -> int:
     return int(n)
 
 
-def _certified(psi, n, rel_tol, budget, compute, what, rem_at=None):
+def _certified(psi, n, rel_tol, budget, what, read, rem):
     """The one loop that grows a family's cache until a majorant certifies.
 
-    compute() reads one cache snapshot and returns (value, remainder,
-    terms_used); the result is certified once remainder <= rel_tol * value
-    (or both are 0).  The cache starts at n + 64 terms and doubles, never
-    past budget; a cache at the budget that still does not certify raises
-    SlowConvergence.
-
-    rem_at(C), when given, is the remainder at cache length C, nonincreasing
-    in C.  The value at any length is at most value + remainder now, so if
-    rem_at(budget) already exceeds rel_tol times that, no length within the
-    budget can certify and the loop raises at once, reporting the budget
-    as the terms shown not to certify.
+    Each round takes one cache snapshot (suf, C): its suffix sums and its
+    length.  read(suf, C) returns (value, terms_used) from it, and rem(C),
+    nonincreasing in C, is the sum's remainder at that length.  The result
+    is certified once rem(C) <= rel_tol * value (or both are 0).  The cache
+    starts at n + 64 terms and doubles, never past budget.  The value at
+    any length is at most value + rem(C), so once rem(budget) exceeds
+    rel_tol times that, no length within the budget can certify; the loop
+    then raises SlowConvergence at once, as it does at the budget,
+    reporting the budget as the terms shown not to certify.
     """
     rel_tol = psi.default_rel_tol if rel_tol is None else float(rel_tol)
     budget = DEFAULT_TERM_BUDGET if budget is None else int(budget)
     psi._ensure(min(budget, n + 64))
     while True:
-        value, rem, used = compute()
-        if (rem <= rel_tol * value) or (value == 0.0 and rem == 0.0):
-            return CertifiedSum(float(value), float(rem), int(used))
-        have = len(psi._vals)
-        if have >= budget or (rem_at is not None
-                              and rem_at(budget) > rel_tol * (value + rem)):
+        suf = psi._cache[1]
+        have = len(suf) - 1
+        value, used = read(suf, have)
+        r = rem(have)
+        if (r <= rel_tol * value) or (value == 0.0 and r == 0.0):
+            return CertifiedSum(float(value), float(r), int(used))
+        if have >= budget or rem(budget) > rel_tol * (value + r):
             raise SlowConvergence(
                 f"{psi.label()}: {what} at n={n} did not certify within "
                 f"{budget} cached terms; relax rel_tol or raise the budget",
@@ -291,13 +293,8 @@ def tail_sum(psi: PsiFamily, n: int, rel_tol: float | None = None,
     closed = psi._closed_tail(n)
     if closed is not None:
         return closed
-
-    def compute():
-        vals, suf = psi._cache
-        C = len(vals)
-        return suf[n - 1], psi._tail_remainder(C), C - n + 1
-
-    return _certified(psi, n, rel_tol, budget, compute, "tail_sum",
+    return _certified(psi, n, rel_tol, budget, "tail_sum",
+                      lambda suf, C: (suf[n - 1], C - n + 1),
                       psi._tail_remainder)
 
 
@@ -306,20 +303,14 @@ def weighted_tail(psi: PsiFamily, n: int, rel_tol: float | None = None,
     """Certified (1/n) sum_{k>=1} k psi(k+n) = (1/n) sum_{j>n} tail_sum(j).
 
     Families without a closed form read it as the sum of the cached suffix
-    sums past n."""
+    sums past n: sum_{j>n} tail(j) = sum_{k>n} (k-n) psi(k), every term
+    nonnegative (no head cancellation)."""
     n = _index(n)
     closed = psi._closed_weighted(n)
     if closed is not None:
         return closed
-
-    def compute():
-        vals, suf = psi._cache
-        C = len(vals)
-        # sum_{j>n} tail(j) = sum_{k>n} (k-n) psi(k): a sum of suffix sums,
-        # every term nonnegative (no head cancellation)
-        return float(np.sum(suf[n:C])) / n, psi._ktail_remainder(C) / n, C - n
-
-    return _certified(psi, n, rel_tol, budget, compute, "weighted_tail",
+    return _certified(psi, n, rel_tol, budget, "weighted_tail",
+                      lambda suf, C: (float(np.sum(suf[n:C])) / n, C - n),
                       lambda C: psi._ktail_remainder(C) / n)
 
 
@@ -329,23 +320,28 @@ def double_tail(psi: PsiFamily, n: int, rel_tol: float | None = None,
 
     k_start=0 is the full double tail; k_start=1 drops the leading
     tail_sum(n) block (the form used by the summed-tail comparison check
-    and by the duality remainder).
+    and by the duality remainder).  k_start must be a nonnegative integer.
+    Families without a closed form read one cached suffix sum per block.
+    A term psi(nu), nu > C, lies in at most (nu-n)/s + 1 blocks, s = 2n-1,
+    so the remainder at cache length C is _tail_remainder(C) +
+    _ktail_remainder(C)/s, and the sum refuses early as the other two do.
     """
     n = _index(n)
+    if k_start < 0 or k_start != int(k_start):
+        raise ValueError("k_start must be a nonnegative integer")
+    k_start = int(k_start)
     closed = psi._closed_double(n, k_start)
     if closed is not None:
         return closed
     s = 2 * n - 1
 
-    def compute():
-        vals, suf = psi._cache
-        C = len(vals)
+    def read(suf, C):
         ms = np.arange(n + k_start * s, C + 1, s)
-        # a term psi(nu), nu > C, lies in at most (nu-n)/s + 1 blocks
-        rem = psi._tail_remainder(C) + psi._ktail_remainder(C) / s
-        return float(np.sum(suf[ms - 1])), rem, int(np.sum(C - ms + 1))
+        return float(np.sum(suf[ms - 1])), int(np.sum(C - ms + 1))
 
-    return _certified(psi, n, rel_tol, budget, compute, "double_tail")
+    return _certified(psi, n, rel_tol, budget, "double_tail", read,
+                      lambda C: psi._tail_remainder(C)
+                      + psi._ktail_remainder(C) / s)
 
 
 def limit_ratio(psi: PsiFamily, n: int, rel_tol: float | None = None,
@@ -388,12 +384,9 @@ def truncation_order(psi: PsiFamily, rel_tol: float = 1e-12,
     tail = tail_sum(psi, n, rel_tol, budget).value
     scale = tail if tail > 0.0 else 1.0
 
-    def compute():
-        C = len(psi._vals)
-        return scale, psi._tail_remainder(C), C
-
     lo = n
-    hi = _certified(psi, n, rel_tol, budget, compute, "truncation_order",
+    hi = _certified(psi, n, rel_tol, budget, "truncation_order",
+                    lambda suf, C: (scale, C),
                     psi._tail_remainder).terms_used
     while lo < hi:
         mid = (lo + hi) // 2
@@ -621,13 +614,11 @@ def hurwitz_zeta(s: float, a) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("hurwitz_zeta needs s > 1 and a > 0")
     N = np.maximum(np.ceil(s + _EM_SHIFT - a), 0.0)
     x = a + N
+    # the head sum_{k<N} (a+k)^-s as a running sum over k, in O(len(a))
+    # memory; the terms past an entry's N add 0.0, which is exact
     head = np.zeros_like(x)
-    short = N > 0.0
-    if np.any(short):
-        k = np.arange(N.max())
-        terms = (a[short][..., None] + k) ** -s
-        head[short] = np.sum(np.where(k < N[short][..., None], terms, 0.0),
-                             axis=-1)
+    for k in range(int(N.max(initial=0.0))):
+        head += np.where(k < N, (a + k) ** -s, 0.0)
     p = x ** -s
     y = 1.0 / (x * x)
     coef, rising = [], s  # coef[j-1] = B_2j/(2j)! (s)_{2j-1}
@@ -847,9 +838,6 @@ class LogLogPower(PsiFamily):
     default_rel_tol = 1e-5
     m_alpha_member = True
 
-    def params(self):
-        return {}
-
     def _values_array(self, k):
         u = k + 2.0
         lu = np.log(u)
@@ -872,9 +860,6 @@ class ExpLogSquared(PsiFamily):
     kind = "exp_log_squared"
     m_alpha_member = True
 
-    def params(self):
-        return {}
-
     def _values_array(self, k):
         return np.exp(-np.log(k + 1.0) ** 2)
 
@@ -893,9 +878,6 @@ class ExpTOverLog(PsiFamily):
 
     kind = "exp_t_over_log"
     m_alpha_member = True
-
-    def params(self):
-        return {}
 
     def _values_array(self, k):
         u = k + 2.0

@@ -10,6 +10,7 @@ independent route through the convolution integral itself.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -21,6 +22,24 @@ from .psi import CertifiedSum, PsiFamily, truncation_order
 
 # below this the closed Dirichlet form loses digits to the sine quotient
 DIRICHLET_SWITCHOVER = 1e-8
+
+
+def _uniform_grid(M: int) -> np.ndarray:
+    """The M uniform points 2*pi*j/M, j = 0..M-1."""
+    return 2.0 * math.pi * np.arange(M) / M
+
+
+def _pointwise(fn):
+    """Wrap fn(*args, x) so that x reaches it as a float64 array of at
+    least one dimension, of any shape; a scalar x gives a float back, an
+    array x the array fn returns."""
+    @functools.wraps(fn)
+    def wrapper(*args):
+        *head, x = args
+        xv = np.asarray(x, dtype=np.float64)
+        out = fn(*head, np.atleast_1d(xv))
+        return float(out[0]) if xv.ndim == 0 else out
+    return wrapper
 
 
 @dataclass(frozen=True)
@@ -63,15 +82,13 @@ class TrigPoly:
         cb[k - 1] = b
         return TrigPoly(0.0, ca, cb)
 
+    @_pointwise
     def __call__(self, x):
-        xv = np.asarray(x, dtype=np.float64)
-        scalar = xv.ndim == 0
-        xv = np.atleast_1d(xv)
-        out = np.full(xv.shape, 0.5 * self.a0)
+        out = np.full(x.shape, 0.5 * self.a0)
         if self.order:
-            kx = np.outer(xv, np.arange(1, self.order + 1))
+            kx = np.outer(x, np.arange(1, self.order + 1))
             out = out + np.cos(kx) @ self.a + np.sin(kx) @ self.b
-        return float(out[0]) if scalar else out
+        return out
 
     def coeff(self, k: int) -> tuple[float, float]:
         """(a_k, b_k); k = 0 returns (a0, 0)."""
@@ -147,6 +164,7 @@ class KernelSpec:
         return self.beta * math.pi / 2.0
 
 
+@_pointwise
 def dirichlet(n: int, t):
     """Dirichlet kernel of order n-1: sin((n-1/2)t) / (2 sin(t/2)).
 
@@ -155,22 +173,19 @@ def dirichlet(n: int, t):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    tv = np.asarray(t, dtype=np.float64)
-    scalar = tv.ndim == 0
-    tv = np.atleast_1d(tv)
-    s = np.sin(0.5 * tv)
+    s = np.sin(0.5 * t)
     near = np.abs(s) < DIRICHLET_SWITCHOVER
-    out = np.empty_like(tv)
+    out = np.empty_like(t)
     safe = ~near
-    out[safe] = np.sin((n - 0.5) * tv[safe]) / (2.0 * s[safe])
+    out[safe] = np.sin((n - 0.5) * t[safe]) / (2.0 * s[safe])
     if np.any(near):
-        tn = tv[near]
+        tn = t[near]
         if n == 1:
             out[near] = 0.5
         else:
             kt = np.outer(tn, np.arange(1, n))
             out[near] = 0.5 + np.sum(np.cos(kt), axis=1)
-    return float(out[0]) if scalar else out
+    return out
 
 
 def kernel_eval(spec: KernelSpec, t: float, rel_tol: float = 1e-12) -> CertifiedSum:
@@ -244,7 +259,7 @@ def _sample_grid(f, N: int) -> np.ndarray:
     values of harmonic k mod N, so its coefficients fold mod N exactly,
     at any order.  Any other f is sampled as _sample does."""
     if not isinstance(f, TrigPoly):
-        return _sample(f, 2.0 * math.pi * np.arange(N) / N)
+        return _sample(f, _uniform_grid(N))
     k = np.arange(1, f.order + 1) % N
     spec = np.bincount(k, f.a, N) - 1j * np.bincount(k, f.b, N)
     return 0.5 * f.a0 + N * np.fft.ifft(spec).real
@@ -261,7 +276,7 @@ def convolve_quadrature(spec: KernelSpec, phi, x: float, M: int,
     """
     if M < 4:
         raise ValueError("M must be >= 4")
-    tj = 2.0 * math.pi * np.arange(M) / M
+    tj = _uniform_grid(M)
     pv = _sample(phi, tj)
     K = truncation_order(spec.psi, rel_tol)
     ks = np.arange(1.0, K + 1.0)

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -189,22 +190,44 @@ def test_slow_convergence_reports_terms():
         weighted_tail(psi, 3, rel_tol=1e-12, budget=10_000)
     assert exc.value.terms_used >= 10_000
     assert len(psi._vals) <= 10_000
+    # the double tail refuses once its remainder is finite (from 1,617
+    # terms on; here at 1,824), since the remainder at the budget already
+    # exceeds rel_tol times the sum; it does not grow the cache to the
+    # budget
+    psi = LogLogPower()
+    with pytest.raises(SlowConvergence) as exc:
+        double_tail(psi, 50, rel_tol=1e-12, budget=100_000)
+    assert exc.value.terms_used >= 100_000
+    assert len(psi._vals) <= 4096
 
 
-@pytest.mark.parametrize("n", [0, -1, 2.5])
-@pytest.mark.parametrize("total", [tail_sum, weighted_tail, double_tail],
-                         ids=lambda f: f.__name__)
-@pytest.mark.parametrize("make", [
+# four families with closed forms that would read a bad index, and one
+# cached family
+_BAD_INDEX_FAMILIES = pytest.mark.parametrize("make", [
     lambda: Geometric(0.5),
     lambda: EvenOdd(0.9, 0.5),
     lambda: GenPoisson(1.0, 1.0),
     lambda: Power(3.0),
     lambda: Neumann(0.5),
 ], ids=["geometric", "even_odd", "gen_poisson_r1", "power", "neumann"])
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.5])
+@pytest.mark.parametrize("total", [tail_sum, weighted_tail, double_tail],
+                         ids=lambda f: f.__name__)
+@_BAD_INDEX_FAMILIES
 def test_sums_reject_bad_n(make, total, n):
     # n is checked before a closed form reads it
     with pytest.raises(ValueError):
         total(make(), n)
+
+
+@pytest.mark.parametrize("k_start", [-1, 0.5])
+@_BAD_INDEX_FAMILIES
+def test_double_tail_rejects_bad_k_start(make, k_start):
+    # k_start is checked before a closed form or the cache reads it
+    with pytest.raises(ValueError):
+        double_tail(make(), 3, k_start=k_start)
 
 
 def test_limit_ratio_zero_tail_raises():
@@ -606,6 +629,19 @@ def test_power_double_tail_takes_each_product_end_by_sign(monkeypatch):
             D = double_tail(Power(r), n, k_start=1)
             assert _encloses(D.value, D.remainder_bound,
                              _double_tail_mpmath(r, n, 1)), n
+
+
+def test_power_double_tail_memory_is_linear_in_n():
+    """hurwitz_zeta sums its head one k at a time, so the 2n-1 points of
+    the double tail cost O(n) memory: at n = 10^4 the peak is about 2.6 MB
+    on 64-bit Linux, where a (2n-1) x N head matrix took 8.8 MB."""
+    tracemalloc.start()
+    try:
+        double_tail(Power(3.0), 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
 
 
 @pytest.mark.parametrize("r", [2.05, 3.0, 4.5])
