@@ -89,8 +89,8 @@ def gamma_phase(n: int, x: float, beta: float) -> GammaPhase:
 
 def _check_E(E: float) -> float:
     E = float(E)
-    if E < 0.0:
-        raise ValueError("E must be >= 0")
+    if not E >= 0.0:
+        raise ValueError(f"E must be >= 0, got {E}")
     return E
 
 
@@ -409,7 +409,13 @@ def duality_sup_batch(psi: PsiFamily, beta: float, n: int, xs,
         raise ValueError("xs must be finite")
     K = max(n + 8, truncation_order(psi, rel_tol, n=n))
     ks = np.arange(n, K + 1)
+    # the weights scaled by 2^-e to a largest in [1/2, 1), which changes
+    # no bit of the work: at a tiny tail the polish and basin tests'
+    # products of two kernel-size numbers (d1 * d1, tol * d2) would
+    # underflow at scale 1 and pass with nothing checked
     vals = psi.head(K)[n - 1:]
+    e = math.frexp(float(np.max(np.abs(vals))))[1]
+    vals = np.ldexp(vals, -e)
     W = np.stack([vals, ks * vals, ks * (ks * vals)])
     curv = float(np.sum(W[2])) / 8.0
     S3 = float(ks @ W[2])
@@ -458,8 +464,8 @@ def duality_sup_batch(psi: PsiFamily, beta: float, n: int, xs,
     np.maximum.at(miss, cp, U - best[cp])
 
     nx = len(xs)
-    main = 0.5 * (best[:nx] + best[nx:])
-    miss = 0.5 * (miss[:nx] + miss[nx:])
+    main = np.ldexp(0.5 * (best[:nx] + best[nx:]), e)
+    miss = np.ldexp(0.5 * (miss[:nx] + miss[nx:]), e)
     # any certification level gives a valid upper end here; demanding the
     # kernel's rel_tol from slow majorants would explode the term budget
     # for heavy-tailed families, so cap at the family's feasible default

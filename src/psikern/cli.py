@@ -29,7 +29,7 @@ from .harness import (
     sharpness_probe,
     verify_lebesgue,
 )
-from .interp import lebesgue_fn, lebesgue_residual, nodes
+from .interp import _residual, lebesgue_fn, nodes
 from .psi import (
     characteristics,
     class_check,
@@ -145,7 +145,7 @@ def _cmd_lebesgue(args) -> int:
     n = int(args.order)
     xg = _uniform_grid(args.grid)
     L = lebesgue_fn(n, xg)
-    R = lebesgue_residual(n, xg)
+    R = _residual(n, xg, L)
     if args.out_csv:
         _write_table(_LebesgueTable(xg, L, R), args.out_csv)
     node_val = float(lebesgue_fn(n, nodes(n).nodes[0]))

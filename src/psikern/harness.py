@@ -6,11 +6,13 @@ pointwise deviation against every computable right-hand side.
 
 Each function's rows are computed as one block of numpy columns over
 the uniform x grid; its deviation there is interp.grid_deviation, two
-inverse FFTs.  The CSV is written one block of text per function.  The
-returned rows are a read-only sequence over the blocks: NamedTuples (so
-`._asdict()` gives a dict) of plain Python values, made one block at a
-time when they are iterated or indexed, so a run holds no per-row
-objects.  Reports are deterministic: a fixed seed reproduces the CSV
+inverse FFTs.  The CSV is written one block of text per function.  Its
+floats are exactly repr's text: a numpy kernel (_float_words) writes a
+block's float columns at once, and hands to repr only the elements its
+error bound cannot decide.  The returned rows are a read-only sequence
+over the blocks: NamedTuples (so `._asdict()` gives a dict) of plain
+Python values, made one block at a time when they are iterated or
+indexed, so a run holds no per-row objects.  Reports are deterministic: a fixed seed reproduces the CSV
 byte for byte.
 """
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import math
 import operator
@@ -316,37 +319,233 @@ class _Line(list):
     write = list.append
 
 
-def _text(v):
-    """CSV text of one value: as in a column for numbers and bools, empty
-    for None, and strings quoted by the csv module's rules."""
+def _text(v) -> str:
+    """CSV text of one value: repr for numbers, 1/0 for bools, empty for
+    None, and strings quoted by the csv module's rules."""
     if v is None:
         return ""
     if isinstance(v, str):
         line = _Line()
         csv.writer(line, lineterminator="").writerow([v])
         return line[0]
-    return _column_text(np.array([v]))[0]
+    v = np.asarray(v).item()        # numpy scalars as Python values
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    return repr(v)
 
 
-def _column_text(v: np.ndarray) -> list:
-    """CSV text of a numpy column: repr for floats, 1/0 for bools."""
-    if v.dtype == bool:
-        return np.where(v, "1", "0").tolist()
-    return list(map(repr, v.tolist()))
+# ---------------------------------------------------------------------------
+# float text: repr's digits, in bulk
+# ---------------------------------------------------------------------------
+
+# |x| the kernel writes itself; outside, Dekker's split or the scaled
+# product could overflow or leave the normal range
+_KERNEL_RANGE = (1e-280, 1e280)
+# scales 10**k for k in [_K_LO, _K_HI]: k = 16 - e10 over every decimal
+# exponent e10 of that range, and one beyond each end for a misjudged
+# log10
+_K_LO, _K_HI = -270, 300
+_SPLIT = 134217729.0                # 2**27 + 1, Dekker's split
+# margin, in units of the 17th digit, inside which a tie or the half-ulp
+# bound is left to repr; the scaled product is good to about 1e-15 there
+_MARGIN = 1e-9
+# one float's text is 48 slots, six 8-byte words: sign, "0." and three
+# zeros, then 17 digits each followed by an optional ".", then "e", the
+# exponent's sign and three exponent digits, and three slots never used.
+# Unused slots hold NUL.  A whole number's zeros and ".0" are digit and
+# dot slots: the digits past the significant ones are zeros.
+_LEAD, _DIGITS, _EXP, _W = 1, 6, 40, 48
+# the layouts: decimal point decpt in [-3, 16] written without an
+# exponent, then exponents of two and of three digits
+_FORMS = 22
+# elements per kernel pass, so that its temporaries stay in cache
+_CHUNK = 4096
 
 
-def _block_columns(blocks: list, column, scalar):
-    """Each block with its columns: column(v) for a numpy column, and
-    scalar(v) repeated down the block for a single value.  A cell's
-    blocks are adjacent, so its shared columns (x, thm2, duality) are
-    converted once per run of blocks."""
+def _words(text: list) -> np.ndarray:
+    """Byte strings of at most 8 bytes as uint64 words, NUL padded."""
+    return np.array(text, "S8").view(np.uint64)
+
+
+def _layout(nd: np.ndarray, decpt: np.ndarray) -> np.ndarray:
+    """The used slots of repr of a float with nd significant digits
+    d1d2... and |x| = 0.d1d2... * 10**decpt.  Without an exponent
+    (-4 < decpt <= 16) it is "0.", -decpt zeros and the digits, or the
+    first max(nd, decpt + 1) digits with a "." after the first decpt;
+    with one, the digits with a "." after the first."""
+    sci = (decpt <= -4) | (decpt > 16)
+    small = ~sci & (decpt <= 0)
+    ndig = np.where(sci | small, nd, np.maximum(nd, decpt + 1))
+    dot = np.where(sci, np.where(nd > 1, 0, -1),
+                   np.where(small, -1, decpt - 1))
+    used = np.zeros((nd.size, _W), bool)
+    used[:, 0] = True           # the sign slot is NUL when x >= 0
+    used[:, _LEAD:_LEAD + 2] = small[:, None]
+    used[:, _LEAD + 2:_DIGITS] = np.arange(3) < np.where(small, -decpt,
+                                                         0)[:, None]
+    used[:, _DIGITS:_EXP:2] = np.arange(17) < ndig[:, None]
+    used[:, _DIGITS + 1:_EXP:2] = np.arange(17) == dot[:, None]
+    used[:, _EXP:_EXP + 2] = sci[:, None]
+    used[:, _EXP + 2] = sci & (np.abs(decpt - 1) >= 100)
+    used[:, _EXP + 3:_EXP + 5] = sci[:, None]
+    return used
+
+
+@functools.cache
+def _float_tables():
+    """The kernel's tables, built on the first write, not at import:
+    10**k as the double-double hi + lo, each rounded from the exact
+    value, for k in [_K_LO, _K_HI]; as words, the first word of a
+    float's slots for each sign and leading digit, "d.d.d.d." for each
+    chunk 0000..9999 of four digits, and "e" with the signed three-digit
+    exponent for e10 in [-400, 400]; each chunk's trailing zeros (4 for
+    0000); and the _layout of each digit count (row block) and form (row
+    in the block) as masks, a word of 0xFF bytes over the used slots."""
+    hi, lo = [], []
+    for k in range(_K_LO, _K_HI + 1):
+        # 10**k = num/den; int / int rounds correctly, and h = p/q exactly
+        num, den = 10 ** max(k, 0), 10 ** max(-k, 0)
+        h = num / den
+        p, q = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * q - p * den) / (den * q))
+    # the four digits of each chunk, each followed by "."
+    digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    chunks = np.full((10_000, 8), ord("."), np.uint8)
+    chunks[:, ::2] = digits + ord("0")
+    tz = np.argmax(digits[:, ::-1] != 0, axis=1)
+    tz[0] = 4
+    nd, form = np.divmod(np.arange(17 * _FORMS), _FORMS)
+    decpt = np.select([form < 20, form == 20], [form - 3, 17], 101)
+    masks = _layout(nd + 1, decpt).astype(np.uint8) * np.uint8(0xFF)
+    return (np.array(hi), np.array(lo),
+            _words([b"%s0.000%d." % (sign, d)
+                    for sign in (b"\0", b"-") for d in range(10)]),
+            chunks.view(np.uint64).ravel(),
+            _words([b"e%+04d" % e for e in range(-400, 401)]), tz,
+            masks.view(np.uint64))
+
+
+def _scaled(a: np.ndarray, e10: np.ndarray, hi, lo):
+    """(D, r): a * 10**(16 - e10) = D + r, D an int64 and |r| <= 1/2,
+    from Dekker's exact two-product of a and hi plus a * lo.  For
+    1e16 <= D < 1e17 the error in r is about 1e-15."""
+    ph, pl = hi.take(16 - e10 - _K_LO), lo.take(16 - e10 - _K_LO)
+    p = a * ph
+    s = a * _SPLIT
+    ah = s - (s - a)
+    al = a - ah
+    s = ph * _SPLIT
+    bh = s - (s - ph)
+    bl = ph - bh
+    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    pi = np.rint(p)
+    u = (p - pi) + (err + a * pl)
+    ui = np.rint(u)
+    return pi.astype(np.int64) + ui.astype(np.int64), u - ui
+
+
+def _float_words(x: np.ndarray) -> np.ndarray:
+    """repr of each element of the float64 vector x, as its row of the
+    (len(x), _W // 8) uint64 result: the text's bytes in order, with NUL
+    in the unused slots between and after them.
+
+    The digits are the shortest that round back to x, and of those the
+    nearest (Steele and White; Gay; Ryu).  With y = |x| * 10**(16 - e10)
+    in [1e16, 1e17), D17 = round(y).  Every decimal of at most 15
+    significant digits round-trips, so the nearest 15-digit decimal does
+    whenever any shorter one does, and otherwise the nearest with 16 or
+    17 digits is taken: the first whose distance to y is below half an
+    ulp of x, scaled the same way.  Elements the kernel does not decide
+    are written by repr: zeros, subnormals, nan and infinities, powers of
+    two (their rounding interval is lopsided), |x| outside _KERNEL_RANGE,
+    a carry into a new decade, and distances within _MARGIN of a tie or
+    of the half-ulp bound."""
+    x = np.ascontiguousarray(x, dtype=np.float64).ravel()
+    words = np.empty((x.size, _W // 8), np.uint64)
+    for i in range(0, x.size, _CHUNK):
+        _fill_words(x[i:i + _CHUNK], words[i:i + _CHUNK])
+    return words
+
+
+def _fill_words(x: np.ndarray, words: np.ndarray) -> None:
+    """_float_words of the contiguous float64 vector x, into words."""
+    hi, lo, leads, chunks, exps, chunk_tz, masks = _float_tables()
+    n = x.size
+    bits = x.view(np.uint64)
+    a = np.abs(x)
+    ok = ((a >= _KERNEL_RANGE[0]) & (a <= _KERNEL_RANGE[1])
+          & (bits & np.uint64(2**52 - 1) != 0))
+    a = np.where(ok, a, 1.5)
+    e10 = np.floor(np.log10(a)).astype(np.int64)
+    D, r = _scaled(a, e10, hi, lo)
+    off = (D < 10**16) | (D >= 10**17)
+    if off.any():
+        e10[off] += np.where(D[off] < 10**16, -1, 1)
+        D[off], r[off] = _scaled(a[off], e10[off], hi, lo)
+    # half an ulp of a, times the same 10**(16 - e10)
+    half = np.ldexp(hi.take(16 - e10 - _K_LO), np.frexp(a)[1] - 54)
+    # the nearest 16- and 15-digit decimals, and their distances to y
+    q16 = D // 10
+    q15 = D // 100
+    u16 = (D - 10 * q16) + r
+    u15 = (D - 100 * q15) + r
+    up16, up15 = u16 > 5.0, u15 > 50.0
+    d16, d15 = np.abs(u16 - 10.0 * up16), np.abs(u15 - 100.0 * up15)
+    ok &= ((D >= 10**16) & (D < 10**17 - 50)
+           & (np.abs(np.abs(r) - 0.5) > _MARGIN)
+           & (np.abs(u16 - 5.0) > _MARGIN) & (np.abs(u15 - 50.0) > _MARGIN)
+           & (np.abs(d16 - half) > _MARGIN) & (np.abs(d15 - half) > _MARGIN))
+    D = np.where(d15 < half, (q15 + up15) * 100,
+                 np.where(d16 < half, (q16 + up16) * 10, D))
+    # repr overwrites these below; keep their table indices in range
+    D[~ok] = 10**16
+    e10[~ok] = 0
+
+    # the leading digit and four chunks of four, and the trailing zeros
+    lead = D // 10**16
+    rest = D - lead * 10**16
+    top = rest // 10**8
+    low = rest - top * 10**8
+    c = np.empty((n, 4), np.int64)
+    c[:, 0] = top // 10**4
+    c[:, 1] = top - c[:, 0] * 10**4
+    c[:, 2] = low // 10**4
+    c[:, 3] = low - c[:, 2] * 10**4
+    tz = chunk_tz.take(c[:, 3])
+    for j in (2, 1, 0):
+        z = np.flatnonzero(tz == 12 - 4 * j)
+        if not z.size:
+            break
+        tz[z] += chunk_tz.take(c[z, j])
+    sci = (e10 < -4) | (e10 >= 16)
+    form = np.where(sci, 20 + (np.abs(e10) >= 100), e10 + 4)
+
+    words[:, 0] = leads.take((bits >> np.uint64(63)).astype(np.int64) * 10
+                             + lead)
+    words[:, 1:5] = chunks.take(c)
+    words[:, 5] = exps.take(e10 + 400)
+    words &= masks.take((16 - tz) * _FORMS + form, axis=0)
+
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        text = [repr(v).encode() for v in x[bad].tolist()]
+        words[bad] = np.array(text, f"S{_W}").view(np.uint64).reshape(
+            bad.size, _W // 8)
+
+
+def _block_columns(blocks: list):
+    """Each block with its columns of Python values: a numpy column's
+    list, and a single value repeated down the block.  A cell's blocks
+    are adjacent, so its shared columns (x, thm2, duality) are converted
+    once per run of blocks."""
     prev: dict = {}
     for b in blocks:
         m = np.size(b.x)
-        cur = {id(v): prev.get(id(v)) or column(v)
+        cur = {id(v): prev.get(id(v)) or v.tolist()
                for v in b if isinstance(v, np.ndarray)}
-        yield b, [cur[id(v)] if isinstance(v, np.ndarray)
-                  else repeat(scalar(v), m) for v in b]
+        yield b, [cur[id(v)] if isinstance(v, np.ndarray) else repeat(v, m)
+                  for v in b]
         prev = cur
 
 
@@ -368,8 +567,7 @@ class _Rows(Sequence):
         return self._ends[-1] if self._ends else 0
 
     def __iter__(self):
-        for b, cols in _block_columns(self._blocks, np.ndarray.tolist,
-                                      lambda v: v):
+        for b, cols in _block_columns(self._blocks):
             yield from map(tuple.__new__, repeat(type(b)), zip(*cols))
 
     def __getitem__(self, i):
@@ -397,14 +595,53 @@ def _write_csv(fh, blocks: list) -> None:
     names, then one line per row.
 
     A block holds rows as a row NamedTuple with an x field, whose fields
-    are numpy columns or single values repeated down the block.  The CSV
-    text is made per block from each column's values and written in one
-    piece, so the text of only one block is held at a time."""
+    are numpy columns (float or bool) or single values repeated down the
+    block.  Its text is one uint8 matrix with a row per line, holding the
+    words of each float column from _float_words, 1/0 for bools, and the
+    _text of the single values with the commas and newline between them.
+    With the unused slots' NULs dropped it is written in one piece, so
+    the text of only one block is held at a time.  A cell's blocks are
+    adjacent, so its shared float columns (x, thm2, duality) are
+    converted once per run of blocks."""
     if not any(np.size(b.x) for b in blocks):
         raise ValueError("no rows to write")
     csv.writer(fh, lineterminator="\n").writerow(blocks[0]._fields)
-    for _, cols in _block_columns(blocks, _column_text, _text):
-        fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
+    prev: dict = {}
+    for b in blocks:
+        m = np.size(b.x)
+        cols = [v for v in b if isinstance(v, np.ndarray)]
+        if any(v.dtype.kind not in "bf" for v in cols):
+            raise TypeError("CSV columns are float or bool arrays")
+        cur = {id(v): prev[id(v)] for v in cols if id(v) in prev}
+        new = [v for v in cols if v.dtype.kind == "f" and id(v) not in cur]
+        if new:
+            words = _float_words(np.stack(new, axis=1).ravel())
+            words = words.view(np.uint8).reshape(m, len(new), _W)
+            cur.update((id(v), words[:, j]) for j, v in enumerate(new))
+        # each field's bytes: a float column's words, a bool column's
+        # 1/0, and the text of the single values and separators between
+        # (one row, repeated down the block)
+        parts, text = [], ""
+        for v, sep in zip(b, [","] * (len(b) - 1) + ["\n"]):
+            if not isinstance(v, np.ndarray):
+                text += _text(v) + sep
+                continue
+            parts.append(text)
+            parts.append(cur[id(v)] if v.dtype.kind == "f"
+                         else (v.view(np.uint8) + ord("0"))[:, None])
+            text = sep
+        parts.append(text)
+        if any(isinstance(p, str) and "\0" in p for p in parts):
+            raise ValueError("a CSV field holds NUL")
+        parts = [np.frombuffer(p.encode(), np.uint8) if isinstance(p, str)
+                 else p for p in parts]
+        chars = np.empty((m, sum(p.shape[-1] for p in parts)), np.uint8)
+        o = 0
+        for p in parts:
+            chars[:, o:o + p.shape[-1]] = p
+            o += p.shape[-1]
+        fh.write(chars.tobytes().translate(None, b"\0").decode())
+        prev = cur
 
 
 def _emit(blocks: list, summary: dict,

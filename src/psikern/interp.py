@@ -114,6 +114,12 @@ def lebesgue_residual(n: int, x):
     """L_n(x) - (2/pi)|sin((2n-1)x/2)| ln n: the bounded part of the
     Lebesgue function's growth.  Equals 1 at nodes (the sine factor
     vanishes there)."""
+    return _residual(n, x, lebesgue_fn(n, x))
+
+
+def _residual(n: int, x, L):
+    """lebesgue_residual from L = lebesgue_fn(n, x), for a caller that
+    has L already."""
     if n < 2:
         raise ValueError("residual needs n >= 2 (ln n term)")
-    return lebesgue_fn(n, x) - sine_factor(n, x) * math.log(n)
+    return L - sine_factor(n, x) * math.log(n)

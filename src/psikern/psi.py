@@ -38,6 +38,7 @@ import numpy as np
 
 from .errors import (
     DivisionDomain,
+    HypothesisUnmet,
     NonMonotone,
     SlowConvergence,
     UnknownRatioMonotonicity,
@@ -267,6 +268,10 @@ def _certified(psi, n, rel_tol, budget, what, read, rem):
     """
     rel_tol = psi.default_rel_tol if rel_tol is None else float(rel_tol)
     budget = DEFAULT_TERM_BUDGET if budget is None else int(budget)
+    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
+        raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol}")
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     psi._ensure(min(budget, n + 64))
     while True:
         suf = psi._cache[1]
@@ -654,6 +659,8 @@ class Power(PsiFamily):
     s^-r sum_{j<s} [zeta(r-1, a_j) + (1 - a_j) zeta(r, a_j)].  Each comes
     from hurwitz_zeta, whose enclosure counts truncation and rounding, so
     their remainder_bound is small but not zero, and none reads the cache.
+    The double tail raises HypothesisUnmet where a_j^-r leaves the double
+    range (r above about 1024 at k_start = 0).
     """
 
     kind = "power"
@@ -699,14 +706,22 @@ class Power(PsiFamily):
         # = zeta(r-1, a) + (1-a) zeta(r, a), a_j = (n'+j)/s
         r, s = self.r, 2 * n - 1
         a = (n + k_start * s + np.arange(s, dtype=np.float64)) / s
-        lo1, w1 = hurwitz_zeta(r - 1.0, a)
-        lo2, w2 = hurwitz_zeta(r, a)
-        c = 1.0 - a
-        # 1 - a is negative past a = 1, so each end takes its product by sign
-        p, q = c * lo2, c * (lo2 + w2)
-        g_lo = math.fsum(lo1 + np.minimum(p, q))
-        g_hi = math.fsum(lo1 + w1 + np.maximum(p, q))
-        size = math.fsum(lo1 + w1 + np.abs(q))
+        # a_j^-r overflows once r is past about 1024 at a_0 near 1/2
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                lo1, w1 = hurwitz_zeta(r - 1.0, a)
+                lo2, w2 = hurwitz_zeta(r, a)
+                c = 1.0 - a
+                # 1 - a is negative past a = 1, so each end takes its
+                # product by sign
+                p, q = c * lo2, c * (lo2 + w2)
+                g_lo = math.fsum(lo1 + np.minimum(p, q))
+                g_hi = math.fsum(lo1 + w1 + np.maximum(p, q))
+                size = math.fsum(lo1 + w1 + np.abs(q))
+        except (FloatingPointError, OverflowError) as exc:
+            raise HypothesisUnmet(
+                f"{self.label()}: double tail at n={n} overflows the "
+                f"double range") from exc
         # The rounding of a_j moves g(a_j) by a factor within 1 +- r u
         # (|d ln g/d ln a| <= r).  Each end rounds 1 - a, zeta's upper end,
         # the product and two additions; then come the fsum, 4 ulps for each

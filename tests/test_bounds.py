@@ -281,9 +281,12 @@ def test_duality_at_node_is_zero_interval():
 
 def _kernel_tail(psi, n):
     """k = n..K and the weights psi(k) of the kernel tail that
-    duality_sup_batch sums at its default rel_tol."""
+    duality_sup_batch sums at its default rel_tol, scaled as it scales
+    them, by 2^-e to a largest in [1/2, 1)."""
     K = max(n + 8, truncation_order(psi, 1e-12, n=n))
-    return np.arange(n, K + 1), psi.head(K)[n - 1:]
+    vals = psi.head(K)[n - 1:]
+    e = math.frexp(float(np.max(np.abs(vals))))[1]
+    return np.arange(n, K + 1), np.ldexp(vals, -e)
 
 
 SWEEP_FAMILIES = (
@@ -544,3 +547,48 @@ def test_duality_minimum_grid_against_brute_force(spec, n, x, K):
     fine = duality_sup(psi, 0.0, n, x, M=4096)
     assert iv.lo == pytest.approx(fine.lo, rel=1e-12)
     assert iv.hi == pytest.approx(fine.hi, rel=1e-12)
+
+
+def test_thm1_rhs_refuses_nan_E():
+    # a NaN E gives a NaN bound unless it is refused
+    for f in (thm1_rhs, thm1_rhs_modified):
+        with pytest.raises(ValueError):
+            f(Geometric(0.5), 4, 0.3, math.nan)
+
+
+def _geometric_half_range(q, n, gamma):
+    """(max - min)/2 over t of Re(e^{i(nt + gamma)} / (1 - q e^{it})), the
+    duality kernel tail of Geometric(q) divided by q^n, so that every
+    number is of order one: the argmax and argmin of a 64n-point grid,
+    then Newton steps on the derivative from closed forms."""
+    def derivs(t):
+        e = np.exp(1j * t)
+        G = np.exp(1j * (n * t + gamma)) / (1.0 - q * e)
+        L = 1j * n + 1j * q * e / (1.0 - q * e)        # G' = G L
+        dL = -q * e / (1.0 - q * e) ** 2
+        return G.real, (G * L).real, (G * (L * L + dL)).real
+
+    t = 2.0 * math.pi * np.arange(64 * n) / (64 * n)
+    v = derivs(t)[0]
+    ends = []
+    for sign in (1.0, -1.0):
+        tt = t[np.argmax(sign * v)]
+        for _ in range(8):
+            _, d1, d2 = derivs(tt)
+            tt -= d1 / d2
+        ends.append(sign * derivs(tt)[0])
+    return 0.5 * (ends[0] + ends[1])
+
+
+@pytest.mark.parametrize("n", [600, 1024])
+def test_duality_antinode_at_tiny_scale_encloses_the_closed_form(n):
+    # q^n is below 1e-180 here, so at scale 1 the polish and basin tests'
+    # products of two kernel-size numbers underflow and pass unchecked:
+    # the interval then sits at ratio - 1 = -7.06e-6 at n = 1024, 3e-12
+    # wide, against the true -4.70e-6
+    q, x = 0.5, math.pi / (2 * n - 1)
+    iv = duality_sup(Geometric(q), 0.0, n, x)
+    truth = sine_factor(n, x) * q ** n * _geometric_half_range(
+        q, n, gamma_phase(n, x, 0.0).gamma_n)
+    assert iv.contains(truth, slack=1e-13 * truth), (iv, truth)
+    assert iv.width <= 1e-11 * truth

@@ -2,6 +2,7 @@
 
 import csv
 import gc
+import io
 import json
 import math
 import tracemalloc
@@ -21,8 +22,11 @@ from psikern import (
     thm2_sup_bracket,
     verify_lebesgue,
 )
+from psikern import harness
 from psikern.cli import main as cli_main
 from psikern.harness import _cells, _corpus
+from psikern.interp import lebesgue_fn, lebesgue_residual
+from psikern.trig import _uniform_grid
 
 SMALL = ExperimentConfig(
     psi_specs=({"kind": "geometric", "q": 0.5},),
@@ -338,6 +342,128 @@ def test_csv_contract_sharpness(tmp_path):
     rows, _ = sharpness_probe(cfg, out_csv=str(tmp_path / "s.csv"))
     assert len(rows) == 4
     _check_csv_contract(tmp_path / "s.csv", rows, {"psi": str, "n": int})
+
+
+def _repr_csv(fields, rows) -> bytes:
+    """The CSV as a writer of one repr per float would write it: the
+    csv module over each row value's text."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(fields)
+    writer.writerows([_csv_text(v) for v in r] for r in rows)
+    return out.getvalue().encode()
+
+
+@pytest.mark.parametrize("check,config", [
+    (verify_lebesgue, ExperimentConfig(
+        psi_specs=(EVEN_ODD, GEOMETRIC, GEN_POISSON), n_list=(3, 5),
+        n_functions=8, x_grid=48, with_duality=True)),
+    (classical_lebesgue_check, ExperimentConfig(
+        psi_specs=(EVEN_ODD, GEOMETRIC), n_list=(3, 4), n_functions=8,
+        x_grid=48)),
+    (sharpness_probe, ExperimentConfig(
+        psi_specs=(EVEN_ODD, GEOMETRIC), n_list=(4, 8))),
+], ids=["verify_with_duality", "classical", "sharpness"])
+def test_csv_bytes_match_a_repr_writer(tmp_path, check, config):
+    path = tmp_path / "r.csv"
+    rows, _ = check(config, out_csv=str(path))
+    assert path.read_bytes() == _repr_csv(rows[0]._fields, rows)
+
+
+def test_cli_tables_match_a_repr_writer(tmp_path, capsys):
+    n, xg = 8, _uniform_grid(40)
+    bounds_csv, leb_csv = tmp_path / "b.csv", tmp_path / "l.csv"
+    assert cli_main(["bounds", "--psi", json.dumps(GEN_POISSON), "--order",
+                     str(n), "--x-grid", "40", "--with-duality"]) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert cli_main(["bounds", "--psi", json.dumps(GEN_POISSON), "--order",
+                     str(n), "--x-grid", "40", "--with-duality",
+                     "--out-csv", str(bounds_csv)]) == 0
+    assert cli_main(["lebesgue", "--order", str(n), "--grid", "40",
+                     "--out-csv", str(leb_csv)]) == 0
+    # the bounds command's columns, in its order, on a fresh family
+    psi = psi_from_dict(GEN_POISSON)
+    r1 = thm1_rhs(psi, n, xg, 1.0)
+    rm = thm1_rhs_modified(psi, n, xg, 1.0)
+    t2 = thm2_sup_bracket(psi, 0.0, n, xg)
+    dual = duality_sup_batch(psi, 0.0, n, xg)
+    want = _repr_csv(
+        ("x", "rhs_thm1", "rhs_thm1_modified", "thm2_lo", "thm2_hi",
+         "dual_lo", "dual_hi"),
+        zip(xg.tolist(), r1.tolist(), rm.tolist(), t2.lo.tolist(),
+            t2.hi.tolist(), [iv.lo for iv in dual], [iv.hi for iv in dual]))
+    assert stdout == want and bounds_csv.read_bytes() == want
+    assert leb_csv.read_bytes() == _repr_csv(
+        ("x", "lebesgue", "residual"),
+        zip(xg.tolist(), lebesgue_fn(n, xg).tolist(),
+            lebesgue_residual(n, xg).tolist()))
+
+
+def _kernel_sample(rng) -> np.ndarray:
+    """Just over 10^6 float64 values: random bit patterns over every
+    exponent, zeros, nan and infinities, subnormals, every power of two,
+    10^k and its neighbours, integers near 2^53 and 10^16, values just
+    below a power of ten (their rounding carries into the next decade),
+    short decimals, and normal samples over 1e-300..1e300 and, the most,
+    over 1e-20..1e20, where report values lie (repr is slowest on large
+    exponents, and it bounds the test's time)."""
+    def signed(v):
+        return np.concatenate([v, -v])
+
+    def spread(size, decades):
+        return rng.standard_normal(size) * 10.0 ** rng.uniform(
+            -decades, decades, size)
+
+    tens = np.array([float(f"1e{k}") for k in range(-30, 31)])
+    near_tens = np.concatenate([
+        tens, np.nextafter(tens, np.inf), np.nextafter(tens, 0.0),
+        *(tens * (1.0 - s * 2.0 ** -53) for s in range(1, 65))])
+    ints = np.concatenate([2.0 ** 53 + np.arange(-2000, 2000),
+                           1e16 + 2.0 * np.arange(-2000, 2000)])
+    return np.concatenate([
+        rng.integers(0, 2**64, 80_000, dtype=np.uint64).view(np.float64),
+        signed(np.array([0.0, np.inf, 5e-324, 2.2250738585072009e-308])),
+        [np.nan],
+        signed(rng.integers(1, 2**52, 5_000, dtype=np.uint64).view(
+            np.float64)),
+        signed(np.ldexp(1.0, np.arange(-1074, 1024))),
+        signed(near_tens), signed(ints),
+        rng.integers(-10**7, 10**7, 420_000)
+        / 10.0 ** rng.integers(0, 12, 420_000),
+        spread(30_000, 300), spread(450_000, 20)])
+
+
+def test_float_words_match_repr_on_a_million_values(monkeypatch):
+    fallback = []
+
+    def counting_repr(v):
+        fallback.append(v)
+        return repr(v)
+
+    # the kernel's fallback calls the module's repr
+    monkeypatch.setattr(harness, "repr", counting_repr, raising=False)
+    x = _kernel_sample(np.random.default_rng(20261019))
+    assert x.size >= 10**6
+    for i in range(0, x.size, 2**16):
+        chunk = x[i:i + 2**16]
+        slots = harness._float_words(chunk).view(np.uint8)
+        # the last slot is never used: a newline there ends each text
+        assert not slots[:, -1].any()
+        slots[:, -1] = ord("\n")
+        got = slots.tobytes()
+        want = ("\n".join(map(repr, chunk.tolist())) + "\n").encode()
+        if got.translate(None, b"\0") != want:
+            bad = next(v for v, s in zip(chunk.tolist(), slots)
+                       if s[:-1].tobytes().translate(None, b"\0")
+                       != repr(v).encode())
+            pytest.fail(f"{bad!r} written as "
+                        f"{harness._float_words(np.array([bad])).tobytes()!r}")
+    # the fallback ran, and not only on the values the kernel never takes
+    # (zeros, nan, infinities, subnormals, powers of two, huge or tiny)
+    f = np.array(fallback)
+    regular = (np.abs(f) >= 1e-280) & (np.abs(f) <= 1e280) \
+        & (np.frexp(f)[0] != 0.5) & (np.frexp(f)[0] != -0.5)
+    assert f.size and regular.any()
 
 
 @pytest.mark.parametrize("check", [verify_lebesgue, classical_lebesgue_check])

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -46,6 +47,7 @@ from psikern import (
 )
 from psikern.errors import (
     DivisionDomain,
+    HypothesisUnmet,
     SlowConvergence,
     UnknownRatioMonotonicity,
 )
@@ -228,6 +230,29 @@ def test_double_tail_rejects_bad_k_start(make, k_start):
     # k_start is checked before a closed form or the cache reads it
     with pytest.raises(ValueError):
         double_tail(make(), 3, k_start=k_start)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"budget": 0}, {"budget": -5}, {"rel_tol": 0.0}, {"rel_tol": -1e-12},
+    {"rel_tol": math.nan}, {"rel_tol": math.inf}],
+    ids=["budget=0", "budget=-5", "rel_tol=0", "rel_tol<0", "rel_tol=nan",
+         "rel_tol=inf"])
+@pytest.mark.parametrize("total", [tail_sum, weighted_tail, double_tail],
+                         ids=lambda f: f.__name__)
+def test_cached_sums_reject_bad_budget_and_rel_tol(total, kwargs):
+    # GenPoisson(1, 0.5) has no closed form, so every sum runs the cache
+    # loop, where budget=0 would read an empty cache (IndexError)
+    with pytest.raises(ValueError):
+        total(GenPoisson(1.0, 0.5), 4, **kwargs)
+
+
+def test_power_double_tail_overflow_is_typed():
+    # a_0^-r overflows at r = 1500 and n = 200 (a_0 = n/(2n-1) near 1/2):
+    # a typed error, with no numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(HypothesisUnmet):
+            double_tail(Power(1500.0), 200)
 
 
 def test_limit_ratio_zero_tail_raises():
