@@ -52,6 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SolverStall
+from .psi import _index
 from .trig import TrigPoly, _sample, _sample_grid, _uniform_grid
 
 REDCOST_TOL = 1e-9
@@ -116,16 +117,19 @@ def _coeff_poly(n: int, c: np.ndarray) -> TrigPoly:
     return TrigPoly(c[0], c[1:n], c[n:2 * n - 1])
 
 
-def _grid_size(n: int, M: int | None) -> int:
+def _grid_size(n: int, M: int | None) -> tuple[int, int]:
+    """(n, M) checked: n an order, M a grid of at least 8n points (64n
+    when None)."""
+    n = _index(n)
     if M is None:
         M = 64 * n
     if M < 8 * n:
         raise ValueError("grid must have at least 8n points")
-    return M
+    return n, M
 
 
 def _grid(n: int, M: int | None) -> np.ndarray:
-    return _uniform_grid(_grid_size(n, M))
+    return _uniform_grid(_grid_size(n, M)[1])
 
 
 def _block_solve(A: np.ndarray, b: np.ndarray, it: int,
@@ -348,7 +352,7 @@ def best_l1(f, n: int, M: int | None = None) -> ApproxResult:
     min sum(u+v).  Always feasible; the weight 2*pi/M is
     applied to the optimal objective so value approximates the integral.
     """
-    M = _grid_size(n, M)
+    n, M = _grid_size(n, M)
     fv = _sample_grid(f, M)
     c, duals, iters, l1 = _l1_revised(_grid_design(n, M), fv,
                                       max_iter=50 * (M + 2 * n - 1))
@@ -380,7 +384,7 @@ def best_uniform(f, n: int, M: int | None = None) -> ApproxResult:
     such as 1e-11, carries up to about 1e-3 relative uncertainty, and the
     classical rhs of the harness, which scales by it, inherits it.
     """
-    M = _grid_size(n, M)
+    n, M = _grid_size(n, M)
     fv = _sample_grid(f, M)
     d = 2 * n - 1
     Phi = _grid_design(n, M).Phi
@@ -426,10 +430,10 @@ def oracle_best_l1(f, n: int, M: int | None = None) -> float:
     The objective is convex piecewise-linear, so the refined box always
     straddles the optimum; agreement target with best_l1 is 1e-4 relative.
     """
+    n, M = _grid_size(n, M)
     if n not in (1, 2):
         raise ValueError("oracle covers n in {1, 2} only")
-    t = _grid(n, M)
-    M = len(t)
+    t = _uniform_grid(M)
     fv = _sample(f, t)
     Phi = _design(n, t).Phi
     d = 2 * n - 1

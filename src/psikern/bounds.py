@@ -32,6 +32,7 @@ from .interp import sine_factor
 from .psi import (
     Geometric,
     PsiFamily,
+    _index,
     alpha_lambda,
     double_tail,
     tail_sum,
@@ -84,6 +85,7 @@ class GammaPhase:
 def gamma_phase(n: int, x: float, beta: float) -> GammaPhase:
     """The kernel-tail phase ((2n-1)x + pi(beta-1))/2; x a float or an
     array."""
+    n = _index(n)
     return GammaPhase(((2 * n - 1) * x + PI * (beta - 1.0)) / 2.0)
 
 
@@ -142,7 +144,7 @@ def thm3_bracket(psi: PsiFamily, n: int, x: float, E: float) -> Thm3Brackets:
     Requires the family to declare the decay-characteristic structure
     (alpha decreasing to 0, lambda increasing) and alpha(n) <= 1/4.
     """
-    E = _check_E(E)
+    n, E = _index(n), _check_E(E)
     if not psi.m_alpha_member:
         raise HypothesisUnmet(
             f"{psi.label()} does not declare the slow-decay (alpha) structure")
@@ -185,7 +187,7 @@ def dq_bound(psi: PsiFamily, n: int, x: float, E: float,
     c is the implementation's bounding constant for the unpinned O(1)
     terms (default 8, configurable).  Requires 1/n + eps_n < (1-q)/2.
     """
-    E = _check_E(E)
+    n, E = _index(n), _check_E(E)
     q = psi.ratio_limit
     if q is None or not 0.0 < q < 1.0:
         raise HypothesisUnmet(f"{psi.label()} has no ratio limit in (0, 1)")
@@ -205,7 +207,7 @@ def d0_bound(psi: PsiFamily, n: int, x: float, E: float,
     """Bracket for fastest-decay families (ratio limit 0):
     (2/pi)|sin| (psi(n) -+ c R) E with R = tail_sum(n+1) + weighted_tail(n),
     the certified upper end of (1/n) sum_{k>n} k psi(k)."""
-    E = _check_E(E)
+    n, E = _index(n), _check_E(E)
     if psi.ratio_limit != 0.0:
         raise HypothesisUnmet(f"{psi.label()} is not in the fastest-decay class")
     R = tail_sum(psi, n + 1).hi + weighted_tail(psi, n).hi
@@ -277,20 +279,27 @@ def _evaluate(ts, rot, W, n):
 def _polish(t0, rot, w, W, n, tol):
     """Newton steps on sigma g' = 0 from t0, each step clamped to +-w/2 and
     the point to [t0 - w, t0 + w]; where sigma g'' >= 0 the step is w/2
-    uphill.  Stops once every point meets g'^2 <= tol |g''| with g'' of
-    the right sign, or after NEWTON_STEPS steps.  Returns the last point
-    with sigma g, sigma g', sigma g'' there, and the best value seen.
+    uphill.  A point stops once it meets g'^2 <= tol |g''| with g'' of the
+    right sign, or after NEWTON_STEPS steps, so its path depends on its own
+    start alone.  Returns the last points with sigma g, sigma g', sigma g''
+    there, and the best value seen from each start.
     """
-    t = t0
+    t = t0.copy()
+    f, d1, d2 = np.empty((3, len(t0)))
     seen = np.full(len(t0), -np.inf)
+    live = np.arange(len(t0))
     for step in range(NEWTON_STEPS + 1):
-        f, d1, d2 = _evaluate(t, rot, W, n)
-        seen = np.maximum(seen, f)
-        if step == NEWTON_STEPS or np.all((d2 < 0.0) & (d1 * d1 <= -tol * d2)):
+        f[live], d1[live], d2[live] = _evaluate(t[live], rot[live], W, n)
+        seen[live] = np.maximum(seen[live], f[live])
+        a, b = d1[live], d2[live]
+        moving = ~((b < 0.0) & (a * a <= -tol * b))
+        live, a, b = live[moving], a[moving], b[moving]
+        if step == NEWTON_STEPS or not len(live):
             return t, f, d1, d2, seen
         with np.errstate(divide="ignore", invalid="ignore"):
-            move = np.where(d2 < 0.0, -d1 / d2, np.sign(d1) * w)
-        t = np.clip(t + np.clip(move, -0.5 * w, 0.5 * w), t0 - w, t0 + w)
+            move = np.where(b < 0.0, -a / b, np.sign(a) * w)
+        t[live] = np.clip(t[live] + np.clip(move, -0.5 * w, 0.5 * w),
+                          t0[live] - w, t0[live] + w)
 
 
 def _grid_values(V, f):
@@ -345,87 +354,70 @@ def _covered(p, a, w, centers, radii):
     return inside
 
 
-def duality_sup(psi: PsiFamily, beta: float, n: int, x: float,
-                M: int | None = None, rel_tol: float = 1e-12) -> Interval:
-    """Numerically exact class sup at x via the duality formula: half the
-    range of the kernel tail g(t) = sum_{k>=n} psi(k) cos(kt + gamma_n),
-    scaled by (2/pi)|sin((2n-1)x/2)|.  See duality_sup_batch for the
-    method and the three terms of the interval.
-    """
-    return duality_sup_batch(psi, beta, n, [x], M, rel_tol)[0]
+def _trig_max(vals, n, phase, M, rel_tol):
+    """Certified maxima over t of g(t) = Re(rot sum_j vals[j] e^{i(n+j)t})
+    for rot = phase and rot = -phase, each entry of phase one problem.
 
+    Returns (best, miss), each of shape (2, len(phase)): row 0 for the max
+    of g, row 1 for the max of -g.  Each max lies in [best, best + miss];
+    best is attained.  Floating-point rounding in the sums (about 1e-15 of
+    sum |vals|) is not counted.
 
-def duality_sup_batch(psi: PsiFamily, beta: float, n: int, xs,
-                      M: int | None = None,
-                      rel_tol: float = 1e-12) -> list[Interval]:
-    """duality_sup at every x in xs, sharing the kernel work for one (psi, n).
+    The weights are scaled by 2^-e to a largest |w| in [1/2, 1), which
+    changes no bit of the work; at scale 1 the polish and basin tests'
+    products of two kernel-size numbers (d1 * d1, tol * d2) would underflow
+    at a tiny kernel and pass with nothing checked.  best and miss are
+    scaled back at the end.
 
-    g is truncated to g_K = sum_{k=n}^{K} psi(k) cos(kt + gamma_n).  The
-    cutoff is K = max(n + 8, truncation_order(psi, rel_tol, n=n)), the
-    smallest K whose remainder bound is within rel_tol of tail_sum(n);
-    the weights are psi.head(K).  The phase mixes the same two profiles
-    A(t) = sum psi(k) cos(kt) and B(t) = sum psi(k) sin(kt) for every x;
-    both come from one FFT on the M-point grid (M >= 16n, default
-    max(16n, 256)).  For each x, the max of g_K and the max of -g_K are
-    found the same way, as 2 len(xs) problems whose grid values are V and
-    -V for one product V:
+    Raises HypothesisUnmet when the largest |w| is nonzero and below
+    len(vals) 2^-1074 / rel_tol.  Weights that small are subnormal, and
+    each carries a rounding error of up to 2^-1075 that is not relative to
+    its size; above that bound those errors sum to at most rel_tol/2 of the
+    largest weight, and so do the roundings of best and miss scaled back.
 
-    - hot points: grid values v with v + h^2/8 * S2 > best + tol, where
-      h = 2 pi/M, S2 = sum_{k=n}^{K} k^2 psi(k), best is the problem's
-      grid maximum and tol = rel_tol * sum psi(k).  Only these are
-      visited after the one threshold pass (see _grid_starts);
-    - polish: Newton steps on g' = 0 from every hot point that is a
-      local maximum of its problem's grid values, mod M (see _polish);
+    With h = 2 pi/M, S2 = sum k^2 |w_k|, S3 = sum k^3 |w_k| and
+    tol = rel_tol * sum |w_k| (k = n + j):
+
+    - grid: one FFT gives A + iB = sum w_k e^{ikt} on the M-point grid
+      (see _grid_profile), and V = Re(phase (A + iB)) holds the grid values
+      of g; those of -g are -V.  best starts at each problem's grid max;
+    - hot points: grid values v with v + h^2/8 * S2 > best + tol.  Only
+      these are visited after the one threshold pass (see _grid_starts);
+    - polish: Newton steps on g' = 0 from every hot point that is a local
+      maximum of its problem's grid values, mod M (see _polish);
     - grid-miss bound, by branch and bound over the grid cells: a cell of
       width w is bounded by its larger endpoint value + w^2/8 * S2.  The
       cells that enter are those with an endpoint still hot under the
       polished best (see _grid_cells).  A polished point with g'' < 0
-      certifies g_K <= g_K(t) + g'(t)^2/|g''(t)| within
-      1.5|g''(t)|/S3 of it, S3 = sum_{k=n}^{K} k^3 psi(k).  Cells that
-      could still beat the best attained value by more than tol and lie
-      in no such basin are bisected, at most REFINE_DEPTH times; a cell
-      left at the cap keeps its bound.
+      certifies g <= g(t) + g'(t)^2/|g''(t)| within 1.5|g''(t)|/S3 of it.
+      Cells that could still beat the best attained value by more than tol
+      and lie in no such basin are bisected, at most REFINE_DEPTH times; a
+      cell left at the cap keeps its bound.  miss is the largest amount by
+      which a kept cell's bound beats best, and at least tol.
 
-    Polish steps and bisection midpoints evaluate g_K, g_K' and g_K''
-    once per distinct t and share the sums among the problems at that t
-    (see _evaluate); problems for different x meet at the same grid
+    Polish steps and bisection midpoints evaluate g, g' and g'' once per
+    distinct t and share the sums among the problems at that t (see
+    _evaluate); problems for different rotations meet at the same grid
     points and cell midpoints.
-
-    The lower end of each interval is the attained half-range (the best
-    polished or grid value on each side) less rbound; the upper end adds
-    rbound and the grid-miss bound.  rbound stacks the aliasing remainder
-    (double tail without its leading block) and the series truncation
-    slack.  Floating-point rounding in the kernel sums (about 1e-15 of
-    sum psi(k)) is not counted.
     """
-    if M is None:
-        M = max(16 * n, 256)
-    if M < 16 * n:
-        raise ValueError("duality grid must have at least 16n points")
-    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-    if xs.ndim != 1:
-        raise ValueError(f"xs must be one-dimensional, got shape {xs.shape}")
-    if not np.isfinite(xs).all():
-        raise ValueError("xs must be finite")
-    K = max(n + 8, truncation_order(psi, rel_tol, n=n))
-    ks = np.arange(n, K + 1)
-    # the weights scaled by 2^-e to a largest in [1/2, 1), which changes
-    # no bit of the work: at a tiny tail the polish and basin tests'
-    # products of two kernel-size numbers (d1 * d1, tol * d2) would
-    # underflow at scale 1 and pass with nothing checked
-    vals = psi.head(K)[n - 1:]
-    e = math.frexp(float(np.max(np.abs(vals))))[1]
+    top = float(np.max(np.abs(vals)))
+    if 0.0 < top < len(vals) * math.ulp(0.0) / rel_tol:
+        raise HypothesisUnmet(
+            f"largest kernel weight {top!r} is below {len(vals)} x 2^-1074 "
+            f"/ rel_tol: float64 holds the weights to less than rel_tol")
+    e = math.frexp(top)[1]
     vals = np.ldexp(vals, -e)
+    ks = np.arange(n, n + len(vals))
     W = np.stack([vals, ks * vals, ks * (ks * vals)])
-    curv = float(np.sum(W[2])) / 8.0
-    S3 = float(ks @ W[2])
-    tol = rel_tol * float(np.sum(vals))
+    absW2 = np.abs(W[2])
+    curv = float(np.sum(absW2)) / 8.0
+    S3 = float(ks @ absW2)
+    tol = rel_tol * float(np.sum(np.abs(vals)))
     h = 2.0 * PI / M
     t = h * np.arange(M)
-    # one problem per (side, x): maximize sigma g_x, sigma = +1 then -1;
-    # the sigma = -1 rows of the grid are exactly -V.  V is copied out of
-    # the complex product so that the product can be freed
-    phase = np.exp(1j * gamma_phase(n, xs, beta).gamma_n)
+    # one problem per (side, rotation): maximize sigma g, sigma = +1 then
+    # -1; the sigma = -1 rows of the grid are exactly -V.  V is copied out
+    # of the complex product so that the product can be freed
     rot = np.concatenate([phase, -phase])
     V = np.outer(phase, _grid_profile(ks, vals, M)).real.copy()
     best = np.concatenate([V.max(axis=1), -V.min(axis=1)])
@@ -462,10 +454,52 @@ def duality_sup_batch(psi: PsiFamily, beta: float, n: int, xs,
         fa, fb = np.concatenate([fa, fm]), np.concatenate([fm, fb])
     miss = np.full(len(rot), tol)
     np.maximum.at(miss, cp, U - best[cp])
+    return np.ldexp(best, e).reshape(2, -1), np.ldexp(miss, e).reshape(2, -1)
 
-    nx = len(xs)
-    main = np.ldexp(0.5 * (best[:nx] + best[nx:]), e)
-    miss = np.ldexp(0.5 * (miss[:nx] + miss[nx:]), e)
+
+def duality_sup(psi: PsiFamily, beta: float, n: int, x: float,
+                rel_tol: float = 1e-12) -> Interval:
+    """Numerically exact class sup at x via the duality formula: half the
+    range of the kernel tail g(t) = sum_{k>=n} psi(k) cos(kt + gamma_n),
+    scaled by (2/pi)|sin((2n-1)x/2)|.  See duality_sup_batch for the
+    method and the three terms of the interval.
+    """
+    return duality_sup_batch(psi, beta, n, [x], rel_tol)[0]
+
+
+def duality_sup_batch(psi: PsiFamily, beta: float, n: int, xs,
+                      rel_tol: float = 1e-12) -> list[Interval]:
+    """duality_sup at every x in xs, sharing the kernel work for one (psi, n).
+
+    g is truncated to g_K = sum_{k=n}^{K} psi(k) cos(kt + gamma_n).  The
+    cutoff is K = max(n + 8, truncation_order(psi, rel_tol, n=n)), the
+    smallest K whose remainder bound is within rel_tol of tail_sum(n);
+    the weights are psi.head(K).  g_K(t) = Re(e^{i gamma_n} sum psi(k)
+    e^{ikt}), so the max of g_K and the max of -g_K at every x come from
+    one _trig_max call on those weights, with the rotations e^{i gamma_n},
+    on the grid of M = max(16n, 256) points.  A grid of 16n points already
+    gives the same interval to 1e-12 relative as one of 4096.
+
+    The lower end of each interval is the attained half-range (the mean of
+    the two sides' best) less rbound; the upper end adds rbound and the
+    mean of the two sides' grid-miss terms.  rbound stacks the aliasing
+    remainder (double tail without its leading block) and the series
+    truncation slack.  Floating-point rounding in the kernel sums (about
+    1e-15 of sum psi(k)) is not counted.  Raises HypothesisUnmet where the
+    kernel weights are too small for float64 to hold them to rel_tol (see
+    _trig_max).
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+    if xs.ndim != 1:
+        raise ValueError(f"xs must be one-dimensional, got shape {xs.shape}")
+    if not np.isfinite(xs).all():
+        raise ValueError("xs must be finite")
+    K = max(n + 8, truncation_order(psi, rel_tol, n=n))
+    phase = np.exp(1j * gamma_phase(n, xs, beta).gamma_n)
+    best, miss = _trig_max(psi.head(K)[n - 1:], n, phase, max(16 * n, 256),
+                           rel_tol)
+    main = 0.5 * (best[0] + best[1])
+    miss = 0.5 * (miss[0] + miss[1])
     # any certification level gives a valid upper end here; demanding the
     # kernel's rel_tol from slow majorants would explode the term budget
     # for heavy-tailed families, so cap at the family's feasible default

@@ -85,8 +85,7 @@ def _config_from_args(args) -> ExperimentConfig:
 _FLAGS = {"beta": ("--beta", float), "n_functions": ("--functions", int),
           "x_grid": ("--x-grid", int), "seed": ("--seed", int),
           "solver_grid": ("--solver-grid", int),
-          "slack_scale": ("--slack-scale", float),
-          "duality_grid": ("--duality-grid", int)}
+          "slack_scale": ("--slack-scale", float)}
 
 
 def _add_config_flags(p: argparse.ArgumentParser, fields):
@@ -166,7 +165,7 @@ def _cmd_bounds(args) -> int:
     t2 = thm2_sup_bracket(psi, beta, n, xg)
     dual_lo = dual_hi = None
     if args.with_duality:
-        dual = duality_sup_batch(psi, beta, n, xg, args.duality_grid)
+        dual = duality_sup_batch(psi, beta, n, xg)
         dual_lo = np.array([iv.lo for iv in dual])
         dual_hi = np.array([iv.hi for iv in dual])
     _write_table(_BoundsTable(xg, r1, rm, t2.lo, t2.hi, dual_lo, dual_hi),
@@ -233,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sharpness", help="duality/tail-sum ratio trend")
-    _add_config_flags(p, ("beta", "duality_grid"))
+    _add_config_flags(p, ("beta",))
     p.set_defaults(func=_cmd_sharpness)
 
     p = sub.add_parser("classical-check",
@@ -255,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--E", type=float, default=1.0)
     p.add_argument("--x-grid", dest="x_grid", type=int)
     p.add_argument("--with-duality", action="store_true")
-    p.add_argument("--duality-grid", dest="duality_grid", type=int)
     p.add_argument("--out-csv")
     p.set_defaults(func=_cmd_bounds)
 
@@ -281,7 +279,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (PsikernError, ValueError) as exc:
         # ValueError covers malformed specs/configs from the command line
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

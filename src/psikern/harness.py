@@ -74,7 +74,6 @@ class ExperimentConfig:
     solver_grid: int | None = None      # best-approximation grid, None -> 64n
     slack_scale: float = 1e-9
     with_duality: bool = False
-    duality_grid: int | None = None
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
@@ -198,8 +197,7 @@ def verify_lebesgue(config: ExperimentConfig,
         rhs1 = thm1_rhs(psi, n, xg, 1.0)
         dual_lo = dual_hi = ok_dual = None
         if config.with_duality:
-            dual = duality_sup_batch(psi, config.beta, n, xg,
-                                     config.duality_grid)
+            dual = duality_sup_batch(psi, config.beta, n, xg)
             dual_lo = np.array([iv.lo for iv in dual])
             dual_hi = np.array([iv.hi for iv in dual])
             ok_dual = thm2.contains_interval(
@@ -246,7 +244,7 @@ def sharpness_probe(config: ExperimentConfig,
         x = PI / (2 * n - 1)
         T = tail_sum(psi, n)
         lr = limit_ratio(psi, n)
-        iv = duality_sup(psi, config.beta, n, x, config.duality_grid)
+        iv = duality_sup(psi, config.beta, n, x)
         denom = sine_factor(n, x) * T.value
         ratio = iv.mid / denom
         eps = 0.5 * iv.width / denom \

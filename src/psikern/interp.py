@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .psi import _index
 from .trig import (TrigPoly, _pointwise, _sample, _sample_grid,
                    _uniform_grid, dirichlet)
 
@@ -28,8 +29,7 @@ class NodeSet:
     nodes: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        object.__setattr__(self, "n", _index(self.n))
         object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=np.float64))
         if len(self.nodes) != 2 * self.n - 1:
             raise ValueError("node count must be 2n-1")
@@ -47,6 +47,7 @@ def interpolate(samples, n: int) -> TrigPoly:
         a_j = (2/N) sum_k f(x_k) cos(j x_k),  N = 2n-1,
     and likewise with sin for b_j; a0 = (2/N) sum_k f(x_k).
     """
+    n = _index(n)
     s = np.asarray(samples, dtype=np.float64)
     N = 2 * n - 1
     if s.shape != (N,):
@@ -69,6 +70,7 @@ def node_sum_eval(samples, n: int, x):
     Agrees with interpolate(...)(x) to 1e-10; kept as the dual path for
     cross-checks and for callers holding only samples.
     """
+    n = _index(n)
     s = np.asarray(samples, dtype=np.float64)
     N = 2 * n - 1
     if s.shape != (N,):
@@ -81,6 +83,7 @@ def node_sum_eval(samples, n: int, x):
 @_pointwise
 def deviation(f, n: int, x):
     """rho_n(f; x) = f(x) - S_{n-1}(f; x); vanishes at every node."""
+    n = _index(n)
     p = interpolate(_sample_grid(f, 2 * n - 1), n)
     return _sample(f, x) - p(x)
 
@@ -89,6 +92,7 @@ def grid_deviation(f, n: int, N: int) -> np.ndarray:
     """rho_n(f; 2*pi*j/N) for j = 0..N-1: f and its interpolant on the
     uniform N-point grid, each sampled as _sample_grid does, so a TrigPoly
     f costs two inverse FFTs and no cos/sin matrix."""
+    n = _index(n)
     p = interpolate(_sample_grid(f, 2 * n - 1), n)
     return _sample_grid(f, N) - _sample_grid(p, N)
 
@@ -96,6 +100,7 @@ def grid_deviation(f, n: int, N: int) -> np.ndarray:
 @_pointwise
 def lebesgue_fn(n: int, x):
     """L_n(x) = (2/(2n-1)) sum_k |D_{n-1}(x - x_k)|; >= 1 with equality at nodes."""
+    n = _index(n)
     xk = nodes(n).nodes
     D = dirichlet(n, x[:, None] - xk[None, :])
     return 2.0 / (2 * n - 1) * np.sum(np.abs(D), axis=1)
@@ -105,6 +110,7 @@ def sine_factor(n: int, x):
     """(2/pi)|sin((2n-1)x/2)|, the oscillation factor of every deviation
     bound; zero exactly at the nodes.  x may be a float or a numpy array:
     a scalar gives a float (math.sin), an array an array (np.sin)."""
+    n = _index(n)
     sin = np.sin if isinstance(x, np.ndarray) else math.sin
     return 2.0 / math.pi * abs(sin((2 * n - 1) * x / 2.0))
 

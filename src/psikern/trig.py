@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ZeroMultiplier
-from .psi import CertifiedSum, PsiFamily, truncation_order
+from .psi import CertifiedSum, PsiFamily, _index, truncation_order
 
 # below this the closed Dirichlet form loses digits to the sine quotient
 DIRICHLET_SWITCHOVER = 1e-8
@@ -171,8 +171,7 @@ def dirichlet(n: int, t):
     Near t in 2*pi*Z (|sin(t/2)| below the switchover) the cosine-sum form
     1/2 + sum_{k<n} cos(kt) is used instead; at t = 0 the value is n - 1/2.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _index(n)
     s = np.sin(0.5 * t)
     near = np.abs(s) < DIRICHLET_SWITCHOVER
     out = np.empty_like(t)

@@ -195,13 +195,19 @@ def test_duality_matches_frozen_oracle():
 
 
 def test_duality_batch_consistent_with_scalar():
-    psi = Geometric(0.6)
-    xs = np.array([0.2, 0.9, 2.4])
-    batch = duality_sup_batch(psi, 0.5, 4, xs)
-    for x, iv in zip(xs, batch):
-        single = duality_sup(psi, 0.5, 4, float(x))
-        assert single.lo == pytest.approx(iv.lo, rel=1e-10, abs=1e-13)
-        assert single.hi == pytest.approx(iv.hi, rel=1e-10, abs=1e-13)
+    # each start is polished on its own, so an interval has the same bits
+    # in a batch as alone; when the polish stepped every start until all
+    # had converged, 5 of these 24 slow-family intervals moved, by up to
+    # 1.2e-13 of the upper end
+    xs = np.random.default_rng(5).uniform(0.0, 2 * math.pi, 12)
+    for psi, n, x in ((Geometric(0.6), 4, [0.2, 0.9, 2.4]),
+                      (GenPoisson(1.0, 0.5), 3, xs),
+                      (EvenOdd(0.9, 0.5), 4, xs)):
+        # the family caches as the lone calls below will find them
+        duality_sup_batch(psi, 0.5, n, x)
+        batch = duality_sup_batch(psi, 0.5, n, x)
+        for xi, iv in zip(x, batch):
+            assert duality_sup(psi, 0.5, n, float(xi)) == iv
 
 
 def test_duality_tightens_with_rel_tol():
@@ -281,8 +287,8 @@ def test_duality_at_node_is_zero_interval():
 
 def _kernel_tail(psi, n):
     """k = n..K and the weights psi(k) of the kernel tail that
-    duality_sup_batch sums at its default rel_tol, scaled as it scales
-    them, by 2^-e to a largest in [1/2, 1)."""
+    duality_sup_batch sums at its default rel_tol, scaled as _trig_max
+    scales them, by 2^-e to a largest in [1/2, 1)."""
     K = max(n + 8, truncation_order(psi, 1e-12, n=n))
     vals = psi.head(K)[n - 1:]
     e = math.frexp(float(np.max(np.abs(vals))))[1]
@@ -524,7 +530,7 @@ def test_duality_short_tables_against_brute_force(n, x, beta, data):
     table = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n,
                                max_size=3 * n - 2))
     psi = Tabulated(table)
-    iv = duality_sup(psi, beta, n, x, M=16 * n)
+    iv = duality_sup(psi, beta, n, x)
     lo, hi = _brute_enclosure(psi, beta, n, x, len(table), 2 ** 16)
     total = float(np.sum(table))
     _check_against_brute(iv, lo, hi, 1e-14 * (1.0 + total))
@@ -540,13 +546,12 @@ def test_duality_short_tables_against_brute_force(n, x, beta, data):
      0.013 + 17 * math.pi / 32, 400),
 ], ids=["gen_poisson", "even_odd"])
 def test_duality_minimum_grid_against_brute_force(spec, n, x, K):
+    # the default grid, max(16n, 256) points, is the minimum 16n at n = 23;
+    # test_trig_max_against_brute_force checks 16n against 4096 points
     psi = psi_from_dict(dict(spec))
-    iv = duality_sup(psi, 0.0, n, x, M=16 * n)
+    iv = duality_sup(psi, 0.0, n, x)
     lo, hi = _brute_enclosure(psi, 0.0, n, x, K, 2 ** 13)
     _check_against_brute(iv, lo, hi, 1e-9 * tail_sum(psi, n).value)
-    fine = duality_sup(psi, 0.0, n, x, M=4096)
-    assert iv.lo == pytest.approx(fine.lo, rel=1e-12)
-    assert iv.hi == pytest.approx(fine.hi, rel=1e-12)
 
 
 def test_thm1_rhs_refuses_nan_E():
@@ -592,3 +597,76 @@ def test_duality_antinode_at_tiny_scale_encloses_the_closed_form(n):
         q, n, gamma_phase(n, x, 0.0).gamma_n)
     assert iv.contains(truth, slack=1e-13 * truth), (iv, truth)
     assert iv.width <= 1e-11 * truth
+
+
+@pytest.mark.parametrize("q,n", [(0.5, 1074), (0.5, 1040), (0.7, 2010),
+                                 (0.7, 2009)])
+def test_duality_refuses_a_subnormal_kernel(q, n):
+    # subnormal weights round by up to 2^-1075 each, whatever their size,
+    # and the interval did not count it.  At q = 0.5, n = 1074 the one
+    # nonzero weight is 2^-1074 and the interval came back as
+    # [5e-324, 5e-324], which excludes (2/pi) T = 6.3e-324; at n = 1040
+    # its upper end sat 5.2e-11 relative below the closed form, and at
+    # q = 0.7, n = 2010 4.3e-13 below.  At n = 2009 the largest weight,
+    # 6e-312, is above 2^-1074 / rel_tol but not above K times that, and
+    # with the per-start polish the upper end sat 1.5e-13 below
+    with pytest.raises(HypothesisUnmet, match="rel_tol"):
+        duality_sup(Geometric(q), 0.0, n, math.pi / (2 * n - 1))
+
+
+def _brute_max(vals, n, phase, points):
+    """Enclosures [grid max, grid max + h^2/8 sum k^2 |w_k|] of the max of
+    g = Re(rot sum_j vals[j] e^{i(n+j)t}) and of -g, for rot in phase, from
+    the grid of the given number of points, by Horner's rule in e^{it}."""
+    t = 2 * math.pi * np.arange(points) / points
+    z = np.exp(1j * t)
+    acc = np.zeros(points, dtype=complex)
+    for v in vals[::-1]:
+        acc = acc * z + v
+    g = (np.outer(phase, np.exp(1j * n * t) * acc)).real
+    lo = np.stack([g.max(axis=1), -g.min(axis=1)])
+    ks = n + np.arange(len(vals))
+    return lo, lo + (2 * math.pi / points) ** 2 / 8 * float(ks ** 2 @ np.abs(vals))
+
+
+def _random_trig_series():
+    """Seeded signed weights at n = 1..16 with support up to 3n, three
+    rotations each, and their brute-force enclosures on 2^16 points."""
+    rng = np.random.default_rng(23)
+    for n in range(1, 17):
+        vals = rng.standard_normal(int(rng.integers(1, 3 * n + 1)))
+        phase = np.exp(1j * rng.uniform(0.0, 2 * math.pi, 3))
+        yield n, vals, phase, _brute_max(vals, n, phase, 2 ** 16)
+
+
+def test_trig_max_against_brute_force():
+    for n, vals, phase, (lo, hi) in _random_trig_series():
+        total = float(np.sum(np.abs(vals)))
+        ends = {}
+        for M in (16 * n, max(16 * n, 256), 4096):
+            best, miss = bounds._trig_max(vals, n, phase, M, 1e-12)
+            ends[M] = best, best + miss
+            if M < 4096:
+                # the certified [best, best + miss] meets the brute force
+                assert np.all(best <= hi + 1e-13 * total)
+                assert np.all(best + miss >= lo - 1e-13 * total)
+                assert np.all(miss <= 1e-10 * total)
+        for a, b in zip(ends[16 * n], ends[4096]):
+            assert a == pytest.approx(b, rel=1e-12)
+        # a power-of-two scale changes no bit: the weights are scaled to
+        # one range before any test runs
+        tiny = bounds._trig_max(np.ldexp(vals, -900), n, phase, 16 * n, 1e-12)
+        assert all(np.array_equal(np.ldexp(a, -900), b)
+                   for a, b in zip(ends[16 * n], (tiny[0], tiny[0] + tiny[1])))
+
+
+@pytest.mark.parametrize("depth", [0, 4])
+def test_trig_max_cell_bounds_cover_the_grid_miss(monkeypatch, depth):
+    # with no Newton step and few bisections best stays near the grid
+    # max, and the cell bounds left at the cap must cover the rest
+    monkeypatch.setattr(bounds, "NEWTON_STEPS", 0)
+    monkeypatch.setattr(bounds, "REFINE_DEPTH", depth)
+    for n, vals, phase, (lo, hi) in _random_trig_series():
+        eps = 1e-13 * float(np.sum(np.abs(vals)))
+        best, miss = bounds._trig_max(vals, n, phase, 16 * n, 1e-12)
+        assert np.all(best <= hi + eps) and np.all(best + miss >= lo - eps)

@@ -486,8 +486,7 @@ def test_rows_and_csv_sorted_by_label_n_function_x(tmp_path, check):
 CLI_FLAGS = {"--beta": ("beta", 0.3), "--seed": ("seed", 77),
              "--x-grid": ("x_grid", 24), "--functions": ("n_functions", 4),
              "--solver-grid": ("solver_grid", 96),
-             "--slack-scale": ("slack_scale", 1e-8),
-             "--duality-grid": ("duality_grid", 2048)}
+             "--slack-scale": ("slack_scale", 1e-8)}
 
 
 @pytest.mark.parametrize("command,check,flags,extra", [
@@ -519,11 +518,11 @@ def test_cli_sharpness_rows(tmp_path, capsys):
     out = tmp_path / "s.csv"
     rc = cli_main(["sharpness", "--psi", json.dumps(GEOMETRIC), "--psi",
                    json.dumps(EVEN_ODD), "--n", "4,8", "--beta", "0.5",
-                   "--duality-grid", "2048", "--out-csv", str(out)])
+                   "--out-csv", str(out)])
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
     cfg = ExperimentConfig(psi_specs=(GEOMETRIC, EVEN_ODD), n_list=(4, 8),
-                           beta=0.5, duality_grid=2048)
+                           beta=0.5)
     rows, _ = sharpness_probe(cfg)
     assert [(r.psi, r.n) for r in rows] == [
         ("even_odd(q1=0.9,q2=0.5)", 4), ("even_odd(q1=0.9,q2=0.5)", 8),
@@ -547,6 +546,32 @@ def test_cli_refuses_flags_the_command_does_not_read(argv, capsys):
         cli_main(argv + ["--psi", json.dumps(GEOMETRIC), "--n", "4"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-lebesgue", "--with-duality", "--n", "4"],
+    ["sharpness", "--n", "4"],
+    ["bounds", "--order", "4", "--with-duality"]],
+    ids=["verify", "sharpness", "bounds"])
+def test_no_command_takes_a_duality_grid(argv, capsys):
+    # the duality grid is fixed at max(16n, 256) points: no flag sets it,
+    # and no config holds it
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv + ["--psi", json.dumps(GEOMETRIC),
+                         "--duality-grid", "512"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --duality-grid 512" in \
+        capsys.readouterr().err
+    with pytest.raises(ValueError, match="unknown config keys"):
+        ExperimentConfig.from_dict({"duality_grid": 512})
+
+
+def test_cli_names_the_typed_error(capsys):
+    # a subnormal duality kernel is refused, not returned as a wrong interval
+    rc = cli_main(["bounds", "--psi", json.dumps(GEOMETRIC), "--order", "1074",
+                   "--x-grid", "4", "--with-duality"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: HypothesisUnmet: ")
 
 
 def _rows_from_csv(path, cls, types):

@@ -12,14 +12,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psikern import (
+    ExpLogSquared,
+    GenPoisson,
+    Geometric,
+    NodeSet,
     TrigPoly,
+    best_l1,
+    best_uniform,
+    d0_bound,
     deviation,
+    dirichlet,
+    dq_bound,
+    gamma_phase,
     grid_deviation,
     interpolate,
     lebesgue_fn,
     lebesgue_residual,
     node_sum_eval,
     nodes,
+    oracle_best_l1,
+    sine_factor,
+    thm3_bracket,
 )
 
 LEBESGUE_N6_X04 = 2.21796968266546293
@@ -189,3 +202,39 @@ def test_lebesgue_symmetry_and_periodicity(n, t):
     v = lebesgue_fn(n, t)
     assert lebesgue_fn(n, t + 2 * math.pi / N) == pytest.approx(v, rel=1e-10, abs=1e-10)
     assert lebesgue_fn(n, -t) == pytest.approx(v, rel=1e-10, abs=1e-10)
+
+
+def _samples(n):
+    return np.zeros(max(0, int(2 * n - 1)))
+
+
+_F = TrigPoly.harmonic(3, a=1.0)
+# every public entry that takes an interpolation order n
+ORDER_ENTRIES = {
+    "best_l1": lambda n: best_l1(_F, n),
+    "best_uniform": lambda n: best_uniform(_F, n),
+    "oracle_best_l1": lambda n: oracle_best_l1(_F, n),
+    "NodeSet": lambda n: NodeSet(n, _samples(n)),
+    "nodes": nodes,
+    "interpolate": lambda n: interpolate(_samples(n), n),
+    "deviation": lambda n: deviation(_F, n, 0.3),
+    "grid_deviation": lambda n: grid_deviation(_F, n, 16),
+    "lebesgue_fn": lambda n: lebesgue_fn(n, 0.3),
+    "lebesgue_residual": lambda n: lebesgue_residual(n, 0.3),
+    "node_sum_eval": lambda n: node_sum_eval(_samples(n), n, 0.3),
+    "sine_factor": lambda n: sine_factor(n, 0.3),
+    "dirichlet": lambda n: dirichlet(n, 0.3),
+    "gamma_phase": lambda n: gamma_phase(n, 0.3, 0.0),
+    "dq_bound": lambda n: dq_bound(Geometric(0.5), n, 0.3, 1.0),
+    "d0_bound": lambda n: d0_bound(GenPoisson(1.0, 2.0), n, 0.3, 1.0),
+    "thm3_bracket": lambda n: thm3_bracket(ExpLogSquared(), n, 0.3, 1.0),
+}
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.5])
+@pytest.mark.parametrize("entry", sorted(ORDER_ENTRIES))
+def test_every_order_argument_is_checked(entry, n):
+    # one check for every order: a ValueError, never a number, a
+    # ZeroDivisionError, a TypeError or a solver stall
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        ORDER_ENTRIES[entry](n)
