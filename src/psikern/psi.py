@@ -138,18 +138,26 @@ class PsiFamily:
     for the majorant's precondition), and optional closed forms.
 
     Instances are immutable apart from an internal, monotonically growing
-    summation cache.  The cache is the pair (psi(1..C), suffix sums),
-    published in one rebind and read through one local snapshot, so all
-    public operations are safe for concurrent use.  The three cached sums
-    read the suffix sums alone: tail_sum one entry, weighted_tail the sum
-    of the entries past n, and double_tail one entry per block.  One
-    certify-or-grow loop decides how far it grows: the three sums of a
-    family without a closed form, and truncation_order, each hand it a
-    reader of their value from one cache snapshot and their remainder as
-    a function of the cache length, stated once.  The loop doubles the
-    cache until that remainder certifies, clamped to the term budget, and
-    raises SlowConvergence at the budget, or at once when the remainder
-    at the budget cannot certify.  Closed forms grow nothing.
+    summation cache.  The cache is the snapshot (psi(1..C), suffix sums,
+    table), published in one rebind and read through one local snapshot,
+    so all public operations are safe for concurrent use.  The three
+    cached sums read the suffix sums alone: tail_sum one entry,
+    weighted_tail the sum of the entries past n, and double_tail one
+    entry per block.  One certify-or-grow loop decides how far it grows:
+    the three sums of a family without a closed form, and
+    truncation_order, each hand it a reader of their value from one cache
+    snapshot and their remainder as a function of the cache length,
+    stated once.  The loop doubles the cache until that remainder
+    certifies, clamped to the term budget, and raises SlowConvergence at
+    the budget, or at once when the remainder at the budget cannot
+    certify.  Closed forms grow nothing.
+
+    The table holds the results certified while the snapshot was current,
+    closed forms included: the latest one per sum and settings (rel_tol,
+    budget, k_start), so its size does not grow with the n a caller
+    sweeps.  A repeat at the same arguments returns the stored result,
+    the bits a re-read of the snapshot gives.  A growth publishes an
+    empty table with the new arrays; SlowConvergence is never stored.
     """
 
     kind: str = "abstract"
@@ -162,7 +170,7 @@ class PsiFamily:
 
     def __init__(self):
         self._cache = (np.empty(0, dtype=np.float64),
-                       np.zeros(1, dtype=np.float64))
+                       np.zeros(1, dtype=np.float64), {})
 
     # -- formula hooks ------------------------------------------------------
 
@@ -220,7 +228,7 @@ class PsiFamily:
             # suffix sums, accumulated from the far (small) end so every
             # entry is accurate relative to itself, not to the series head
             rev = np.cumsum(vals[::-1])[::-1]
-            self._cache = (vals, np.concatenate([rev, [0.0]]))
+            self._cache = (vals, np.concatenate([rev, [0.0]]), {})
 
     def head(self, K: int) -> np.ndarray:
         """psi(1..K) as an array (grows the cache as needed)."""
@@ -253,54 +261,89 @@ def _index(n) -> int:
     return int(n)
 
 
-def _certified(psi, n, rel_tol, budget, what, read, rem):
-    """The one loop that grows a family's cache until a majorant certifies.
-
-    Each round takes one cache snapshot (suf, C): its suffix sums and its
-    length.  read(suf, C) returns (value, terms_used) from it, and rem(C),
-    nonincreasing in C, is the sum's remainder at that length.  The result
-    is certified once rem(C) <= rel_tol * value (or both are 0).  The cache
-    starts at n + 64 terms and doubles, never past budget.  The value at
-    any length is at most value + rem(C), so once rem(budget) exceeds
-    rel_tol times that, no length within the budget can certify; the loop
-    then raises SlowConvergence at once, as it does at the budget,
-    reporting the budget as the terms shown not to certify.
-    """
+def _settings(psi, rel_tol, budget) -> tuple[float, int]:
+    """rel_tol and budget (None takes the default), checked before any
+    closed form or cache read."""
     rel_tol = psi.default_rel_tol if rel_tol is None else float(rel_tol)
     budget = DEFAULT_TERM_BUDGET if budget is None else int(budget)
     if not (math.isfinite(rel_tol) and rel_tol > 0.0):
         raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol}")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
+    return rel_tol, budget
+
+
+def _stored(psi, key, at):
+    """The result the current snapshot's table holds for key, if it was
+    certified at at; else None.
+
+    key = (what, rel_tol, budget, ...) names a sum and its checked
+    settings, and at the rest of the call (n, or n and more).  The table
+    holds one entry per key, the pair (at, result), replaced in one
+    assignment, so a racing thread reads a whole entry, and every entry
+    it can read is correct for its at.
+    """
+    hit = psi._cache[2].get(key)
+    return hit[1] if hit is not None and hit[0] == at else None
+
+
+def _certified(psi, key, n, closed, read, rem, at=None):
+    """A sum's result from its closed form, or from the one loop that
+    grows a family's cache until a majorant certifies, for a call that
+    _stored did not answer.  closed is the closed form's result, None
+    when there is none; it is stored in the current snapshot's table as
+    (at, closed) under key, with at = n unless given.
+
+    Each round of the loop takes one cache snapshot (suf, C): its suffix
+    sums and its length.  read(suf, C) returns (value, terms_used) from
+    it, and rem(C), nonincreasing in C, is the sum's remainder at that
+    length.  The result is certified once rem(C) <= rel_tol * value (or
+    both are 0), and it is stored in that snapshot's table: a re-read of
+    the snapshot certifies in its first round with the same bits.  The
+    cache starts at n + 64 terms and doubles, never past budget.  The
+    value at any length is at most value + rem(C), so once rem(budget)
+    exceeds rel_tol times that, no length within the budget can certify;
+    the loop then raises SlowConvergence at once, as it does at the budget
+    and for a budget below n, reporting the budget as the terms shown not
+    to certify.
+    """
+    what, rel_tol, budget = key[:3]
+    at = n if at is None else at
+    if closed is not None:
+        psi._cache[2][key] = (at, closed)
+        return closed
+
     psi._ensure(min(budget, n + 64))
     while True:
-        suf = psi._cache[1]
+        _, suf, table = psi._cache
         have = len(suf) - 1
+        if have < n:  # a budget below n: no cache it allows holds the sum
+            break
         value, used = read(suf, have)
         r = rem(have)
         if (r <= rel_tol * value) or (value == 0.0 and r == 0.0):
-            return CertifiedSum(float(value), float(r), int(used))
+            result = CertifiedSum(float(value), float(r), int(used))
+            table[key] = (at, result)
+            return result
         if have >= budget or rem(budget) > rel_tol * (value + r):
-            raise SlowConvergence(
-                f"{psi.label()}: {what} at n={n} did not certify within "
-                f"{budget} cached terms; relax rel_tol or raise the budget",
-                terms_used=max(have, budget),
-            )
+            break
         # the cache holds at least n + 64 terms here, so doubling also
         # reaches past n + 128
         psi._ensure(min(budget, 2 * have))
+    raise SlowConvergence(
+        f"{psi.label()}: {what} at n={n} did not certify within "
+        f"{budget} cached terms; relax rel_tol or raise the budget",
+        terms_used=max(have, budget))
 
 
 def tail_sum(psi: PsiFamily, n: int, rel_tol: float | None = None,
              budget: int | None = None) -> CertifiedSum:
     """Certified sum_{k>=n} psi(k)."""
     n = _index(n)
-    closed = psi._closed_tail(n)
-    if closed is not None:
-        return closed
-    return _certified(psi, n, rel_tol, budget, "tail_sum",
-                      lambda suf, C: (suf[n - 1], C - n + 1),
-                      psi._tail_remainder)
+    key = ("tail_sum", *_settings(psi, rel_tol, budget))
+    return _stored(psi, key, n) or _certified(
+        psi, key, n, psi._closed_tail(n),
+        lambda suf, C: (suf[n - 1], C - n + 1), psi._tail_remainder)
 
 
 def weighted_tail(psi: PsiFamily, n: int, rel_tol: float | None = None,
@@ -311,12 +354,11 @@ def weighted_tail(psi: PsiFamily, n: int, rel_tol: float | None = None,
     sums past n: sum_{j>n} tail(j) = sum_{k>n} (k-n) psi(k), every term
     nonnegative (no head cancellation)."""
     n = _index(n)
-    closed = psi._closed_weighted(n)
-    if closed is not None:
-        return closed
-    return _certified(psi, n, rel_tol, budget, "weighted_tail",
-                      lambda suf, C: (float(np.sum(suf[n:C])) / n, C - n),
-                      lambda C: psi._ktail_remainder(C) / n)
+    key = ("weighted_tail", *_settings(psi, rel_tol, budget))
+    return _stored(psi, key, n) or _certified(
+        psi, key, n, psi._closed_weighted(n),
+        lambda suf, C: (float(np.sum(suf[n:C])) / n, C - n),
+        lambda C: psi._ktail_remainder(C) / n)
 
 
 def double_tail(psi: PsiFamily, n: int, rel_tol: float | None = None,
@@ -335,18 +377,16 @@ def double_tail(psi: PsiFamily, n: int, rel_tol: float | None = None,
     if k_start < 0 or k_start != int(k_start):
         raise ValueError("k_start must be a nonnegative integer")
     k_start = int(k_start)
-    closed = psi._closed_double(n, k_start)
-    if closed is not None:
-        return closed
+    key = ("double_tail", *_settings(psi, rel_tol, budget), k_start)
     s = 2 * n - 1
 
     def read(suf, C):
         ms = np.arange(n + k_start * s, C + 1, s)
         return float(np.sum(suf[ms - 1])), int(np.sum(C - ms + 1))
 
-    return _certified(psi, n, rel_tol, budget, "double_tail", read,
-                      lambda C: psi._tail_remainder(C)
-                      + psi._ktail_remainder(C) / s)
+    return _stored(psi, key, n) or _certified(
+        psi, key, n, psi._closed_double(n, k_start), read,
+        lambda C: psi._tail_remainder(C) + psi._ktail_remainder(C) / s)
 
 
 def limit_ratio(psi: PsiFamily, n: int, rel_tol: float | None = None,
@@ -374,25 +414,30 @@ def lemma1_check(psi: PsiFamily, n: int, rel_tol: float | None = None,
     return Lemma1Result(W.value, R.value, bool(W.value >= R.value - slack))
 
 
-def truncation_order(psi: PsiFamily, rel_tol: float = 1e-12,
+def truncation_order(psi: PsiFamily, rel_tol: float | None = 1e-12,
                      budget: int | None = None, n: int = 1) -> int:
     """Smallest K >= n with _tail_remainder(K) <= rel_tol * T, where T is
     tail_sum(psi, n, rel_tol).value (T = 1 when that tail is 0, so the
     target is rel_tol itself): the certified cutoff of the kernel tail
-    sum_{n<=k<=K} psi(k) cos(kt + c), relative to tail_sum(n).
+    sum_{n<=k<=K} psi(k) cos(kt + c), relative to tail_sum(n).  rel_tol
+    None is the family's default, as for the sums.
 
     The cache grows in the certify-or-grow loop until its length
     certifies, then K is found by bisection below it (every family's
     remainder bound decreases in K), so K is not the cache length.
     """
     n = _index(n)
+    rel_tol, budget = _settings(psi, rel_tol, budget)
     tail = tail_sum(psi, n, rel_tol, budget).value
     scale = tail if tail > 0.0 else 1.0
 
+    # the tail can come from an older snapshot than the loop reads, so
+    # the loop's result is stored for this scale only
+    key, at = ("truncation_order", rel_tol, budget), (n, scale)
     lo = n
-    hi = _certified(psi, n, rel_tol, budget, "truncation_order",
-                    lambda suf, C: (scale, C),
-                    psi._tail_remainder).terms_used
+    hi = (_stored(psi, key, at) or _certified(
+        psi, key, n, None, lambda suf, C: (scale, C),
+        psi._tail_remainder, at)).terms_used
     while lo < hi:
         mid = (lo + hi) // 2
         if psi._tail_remainder(mid) <= rel_tol * scale:

@@ -48,10 +48,11 @@ from psikern import (
 from psikern.errors import (
     DivisionDomain,
     HypothesisUnmet,
+    PsikernError,
     SlowConvergence,
     UnknownRatioMonotonicity,
 )
-from psikern.psi import hurwitz_zeta
+from psikern.psi import CertifiedSum, Lemma1Result, hurwitz_zeta
 
 # family factory, n, oracle T, oracle W, oracle D (None = not frozen),
 # explicit (T, W, D) rel_tols (None = family default)
@@ -764,3 +765,233 @@ def test_concurrent_sums_match_serial():
             assert got.value <= ref.hi + slack
             assert ref.value <= got.hi + slack
             assert got.value == pytest.approx(ref.value, rel=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# argument checks before closed forms, and the snapshot's table of results
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("total", [tail_sum, weighted_tail, double_tail],
+                         ids=lambda f: f.__name__)
+@_BAD_INDEX_FAMILIES
+def test_closed_forms_reject_bad_budget_and_rel_tol(make, total):
+    # rel_tol and budget are checked before any closed form, as the cache
+    # loop checks them
+    bad = [{"rel_tol": v} for v in (0.0, -1.0, math.nan, math.inf)] \
+        + [{"budget": v} for v in (0, -3)]
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            total(make(), 4, **kwargs)
+
+
+@pytest.mark.parametrize("total", [tail_sum, weighted_tail, double_tail,
+                                   lambda psi, n, budget: truncation_order(
+                                       psi, budget=budget, n=n)],
+                         ids=["tail_sum", "weighted_tail", "double_tail",
+                              "truncation_order"])
+def test_budget_below_n_is_slow_convergence(total):
+    # no cache within a budget of 3 terms holds the sum from n = 5 on
+    with pytest.raises(SlowConvergence) as exc:
+        total(GenPoisson(1.0, 0.5), 5, budget=3)
+    assert exc.value.terms_used == 3
+
+
+def _fields(res):
+    return (res.value.hex(), res.remainder_bound.hex(), res.terms_used)
+
+
+@pytest.mark.parametrize("make", [lambda: GenPoisson(1.0, 0.5),
+                                  lambda: Power(3.0)],
+                         ids=["cached", "closed"])
+def test_repeat_sums_return_identical_fields(make):
+    psi = make()
+    for n in (1, 7, 40):
+        for call in (lambda: tail_sum(psi, n), lambda: weighted_tail(psi, n),
+                     lambda: double_tail(psi, n, k_start=1),
+                     lambda: tail_sum(psi, n, rel_tol=1e-6, budget=5000)):
+            first = _fields(call())
+            assert _fields(call()) == first
+            assert _fields(call()) == first
+        assert truncation_order(psi, 1e-6, n=n) \
+            == truncation_order(psi, 1e-6, n=n)
+
+
+def test_growth_starts_an_empty_table():
+    # after psi.head(4 C) the next tail_sum is the new snapshot's own
+    # read, not the result certified at length C
+    psi = GenPoisson(1.0, 0.5)
+    n = 6
+    tail_sum(psi, n)
+    C = len(psi._vals)
+    psi.head(4 * C)
+    T = tail_sum(psi, n)
+    suf = psi._cache[1]
+    assert len(suf) == 4 * C + 1
+    assert T.value.hex() == float(suf[n - 1]).hex()
+    assert T.remainder_bound.hex() == float(psi._tail_remainder(4 * C)).hex()
+    assert T.terms_used == 4 * C - n + 1
+
+
+def test_arguments_are_checked_after_a_hit():
+    psi = GenPoisson(1.0, 0.5)
+    for n in (3, 5):
+        tail_sum(psi, n)
+        weighted_tail(psi, n)
+        double_tail(psi, n, k_start=1)
+        truncation_order(psi, n=n)
+    for bad_n in (0, -1, 2.5):
+        for total in (tail_sum, weighted_tail, double_tail):
+            with pytest.raises(ValueError):
+                total(psi, bad_n)
+        with pytest.raises(ValueError):
+            truncation_order(psi, n=bad_n)
+    for kwargs in ({"rel_tol": -1.0}, {"rel_tol": math.nan}, {"budget": 0}):
+        for total in (tail_sum, weighted_tail, double_tail):
+            with pytest.raises(ValueError):
+                total(psi, 5, **kwargs)
+        with pytest.raises(ValueError):
+            truncation_order(psi, n=5, **kwargs)
+    for k_start in (-1, 0.5):
+        with pytest.raises(ValueError):
+            double_tail(psi, 5, k_start=k_start)
+
+
+def test_threads_on_a_grown_cache_match_serial_bits():
+    """With no growth left to do, four threads that replace each other's
+    table entries return the serial results bit for bit."""
+    ns = sorted({int(v) for v in np.geomspace(1, 3000, 24)})
+    calls = (tail_sum, weighted_tail, double_tail,
+             lambda psi, n: double_tail(psi, n, k_start=1),
+             lambda psi, n: truncation_order(psi, n=n))
+
+    def run(psi, out):
+        for _ in range(3):
+            for n in ns:
+                for f in calls:
+                    res = f(psi, n)
+                    out.append(res if isinstance(res, int) else _fields(res))
+
+    length = 1 << 16
+    serial = []
+    ref = GenPoisson(1.0, 0.5)
+    ref.head(length)
+    run(ref, serial)
+    shared = GenPoisson(1.0, 0.5)
+    shared.head(length)
+    results = [[] for _ in range(4)]
+    threads = [threading.Thread(target=run, args=(shared, out))
+               for out in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(ref._vals) == len(shared._vals) == length
+    for out in results:
+        assert out == serial
+
+
+def test_table_does_not_grow_with_swept_n():
+    # one entry per sum and settings: a sweep over n holds no results
+    psi = Geometric(0.5)
+    tracemalloc.start()
+    try:
+        for n in range(1, 100_001):
+            tail_sum(psi, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
+    assert len(psi._cache[2]) == 1
+
+
+class _CountingGenPoisson(GenPoisson):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.rem_calls = 0
+
+    def _tail_remainder(self, K):
+        self.rem_calls += 1
+        return super()._tail_remainder(K)
+
+    def _ktail_remainder(self, K):
+        self.rem_calls += 1
+        return super()._ktail_remainder(K)
+
+
+def test_repeat_brackets_evaluate_no_remainder():
+    # the duality check's pattern: one thm2 bracket per x at one n
+    psi = _CountingGenPoisson(1.0, 0.5)
+    psi.head(1 << 14)
+    n = 12
+    first = pk.thm2_sup_bracket(psi, 0.0, n, 0.1)
+    assert psi.rem_calls > 0
+    done = psi.rem_calls
+    for x in np.linspace(0.2, 6.0, 63):
+        br = pk.thm2_sup_bracket(psi, 0.0, n, float(x))
+        assert br.hi > 0.0
+    assert psi.rem_calls == done
+    assert pk.thm2_sup_bracket(psi, 0.0, n, 0.1) == first
+
+
+# one spec per built-in kind
+_CONTRACT_SPECS = [
+    {"kind": "power", "r": 3.0},
+    {"kind": "geometric", "q": 0.5},
+    {"kind": "gen_poisson", "alpha": 1.0, "r": 0.5},
+    {"kind": "log_log_power"},
+    {"kind": "exp_log_squared"},
+    {"kind": "exp_t_over_log"},
+    {"kind": "polyharmonic_poisson", "q": 0.7, "l": 3},
+    {"kind": "analytic_sech", "q": 0.6},
+    {"kind": "neumann", "q": 0.5},
+    {"kind": "even_odd", "q1": 0.9, "q2": 0.5},
+    {"kind": "tabulated", "values": [1.0, 0.5, 0.2, 0.05, 0.01]},
+]
+
+
+def test_contract_specs_cover_every_kind():
+    assert {s["kind"] for s in _CONTRACT_SPECS} == set(pk.psi._REGISTRY)
+
+
+def _meets_contract(res, n):
+    if isinstance(res, CertifiedSum):
+        return math.isfinite(res.hi) and res.value <= res.hi \
+            and res.terms_used >= 0
+    if isinstance(res, Lemma1Result):
+        return math.isfinite(res.lhs) and math.isfinite(res.rhs)
+    if isinstance(res, int):
+        return res >= n
+    return math.isfinite(res)
+
+
+@given(spec=st.sampled_from(_CONTRACT_SPECS),
+       n=st.one_of(st.sampled_from([0, -1, 2.5]), st.integers(1, 400)),
+       rel_tol=st.sampled_from([None, 0.0, -1.0, math.nan, math.inf, 1e-3,
+                                1e-12]),
+       budget=st.sampled_from([None, 0, 1, 3, 10 ** 5]),
+       k_start=st.sampled_from([0, 1, -1, 0.5]))
+@settings(max_examples=200, deadline=None)
+def test_sums_meet_their_contract(spec, n, rel_tol, budget, k_start):
+    """Each call raises ValueError or a typed error, or returns finite
+    numbers with value <= hi."""
+    psi = psi_from_dict(spec)
+    calls = {
+        "tail_sum": lambda: tail_sum(psi, n, rel_tol, budget),
+        "weighted_tail": lambda: weighted_tail(psi, n, rel_tol, budget),
+        "double_tail": lambda: double_tail(psi, n, rel_tol, budget, k_start),
+        "truncation_order": lambda: truncation_order(psi, rel_tol, budget, n),
+        "limit_ratio": lambda: limit_ratio(psi, n, rel_tol, budget),
+        "lemma1_check": lambda: lemma1_check(psi, n, rel_tol, budget),
+    }
+    for name, call in calls.items():
+        try:
+            res = call()
+        except (ValueError, PsikernError):
+            continue
+        assert _meets_contract(res, n), (name, res)
