@@ -121,28 +121,18 @@ def _grid_size(n: int, M: int | None) -> tuple[int, int]:
     """(n, M) checked: n an order, M a grid of at least 8n points (64n
     when None)."""
     n = _index(n)
-    if M is None:
-        M = 64 * n
-    if M < 8 * n:
-        raise ValueError("grid must have at least 8n points")
-    return n, M
+    return n, 64 * n if M is None else _index(M, 8 * n, "M")
 
 
 def _grid(n: int, M: int | None) -> np.ndarray:
     return _uniform_grid(_grid_size(n, M)[1])
 
 
-def _block_solve(A: np.ndarray, b: np.ndarray, it: int,
-                 what: str) -> np.ndarray:
+def _nonsingular(op, it: int, what: str, *args) -> np.ndarray:
+    """op(*args), np.linalg.solve or inv on a solver's block; a singular
+    block raises SolverStall after it iterations."""
     try:
-        return np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        raise SolverStall(f"singular {what}", iterations=it)
-
-
-def _block_inverse(A: np.ndarray, it: int, what: str) -> np.ndarray:
-    try:
-        return np.linalg.inv(A)
+        return op(*args)
     except np.linalg.LinAlgError:
         raise SolverStall(f"singular {what}", iterations=it)
 
@@ -268,7 +258,7 @@ def _l1_revised(D: _Design, f0: np.ndarray, max_iter: int
     edges = (np.arange(d + 1) * M) // d
     P = np.array([lo + int(np.argmin(dev[lo:hi]))
                   for lo, hi in zip(edges[:-1], edges[1:])])
-    B = _block_inverse(Phi[P], 0, "L1 basis block")
+    B = _nonsingular(np.linalg.inv, 0, "L1 basis block", Phi[P])
     # the duals on the free rows: sigma_i, +1 where u_i is basic and -1
     # where v_i is, and 0 on the rows of P
     yF = np.where(fv >= (B @ fv[P]) @ PhiT, 1.0, -1.0)
@@ -279,7 +269,7 @@ def _l1_revised(D: _Design, f0: np.ndarray, max_iter: int
     for it in range(max_iter):
         if it % REFACTOR_EVERY == 0:
             if it:
-                B = _block_inverse(Phi[P], it, "L1 basis block")
+                B = _nonsingular(np.linalg.inv, it, "L1 basis block", Phi[P])
             g = PhiT @ yF
         # Phi^T y = 0 fixes the duals on P
         yP = -(g @ B)
@@ -335,8 +325,9 @@ def _l1_revised(D: _Design, f0: np.ndarray, max_iter: int
         y = np.zeros(M)
     else:
         y = yF
-        y[P] = _block_solve(A_P.T, -(PhiT @ yF), it, "L1 basis block")
-    c = _block_solve(A_P, f0[P], it, "L1 basis block")
+        y[P] = _nonsingular(np.linalg.solve, it, "L1 basis block", A_P.T,
+                            -(PhiT @ yF))
+    c = _nonsingular(np.linalg.solve, it, "L1 basis block", A_P, f0[P])
     l1 = float(np.sum(np.abs(f0 - Phi @ c)))
     if exact and l1 > obj_floor:
         raise SolverStall(f"exact-fit stop left sum|r| = {l1:.3g} above the "
@@ -394,8 +385,8 @@ def best_uniform(f, n: int, M: int | None = None) -> ApproxResult:
     tol = 1e-13 * float(np.max(np.abs(fv)))
     for it in range(50 * (M + d)):
         if it % REFACTOR_EVERY == 0:
-            B = _block_inverse(np.column_stack((Phi[R], sigma)), it,
-                               "exchange reference")
+            B = _nonsingular(np.linalg.inv, it, "exchange reference",
+                             np.column_stack((Phi[R], sigma)))
         sol = B @ fv[R]
         h = sol[-1]
         r = fv - Phi @ sol[:d]
@@ -417,8 +408,9 @@ def best_uniform(f, n: int, M: int | None = None) -> ApproxResult:
         raise SolverStall("exchange did not level the reference error",
                           iterations=50 * (M + d))
     order = R.argsort()
-    c = _block_solve(np.column_stack((Phi[R[order]], sigma[order])),
-                     fv[R[order]], it, "exchange reference")[:d]
+    c = _nonsingular(np.linalg.solve, it, "exchange reference",
+                     np.column_stack((Phi[R[order]], sigma[order])),
+                     fv[R[order]])[:d]
     value = float(np.max(np.abs(fv - Phi @ c)))
     return ApproxResult(value, _coeff_poly(n, c), M, "Uniform", None, it)
 

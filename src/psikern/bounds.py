@@ -32,7 +32,9 @@ from .interp import sine_factor
 from .psi import (
     Geometric,
     PsiFamily,
+    _finite,
     _index,
+    _real,
     alpha_lambda,
     double_tail,
     tail_sum,
@@ -51,16 +53,17 @@ XI2_SUP_RANGE = (-(1.0 + PI), 2.0 + PI)
 @dataclass(frozen=True)
 class Interval:
     """[lo, hi], with float endpoints or, for brackets over an x grid,
-    numpy arrays of endpoints; every lo must be <= its hi (no NaN).  The
-    containment tests give a bool, or a bool array for array endpoints."""
+    numpy arrays of endpoints; every endpoint must be finite (a bound past
+    the double range raises), and every lo <= its hi.  The containment
+    tests give a bool, or a bool array for array endpoints."""
 
     lo: float
     hi: float
 
     def __post_init__(self):
-        ok = self.lo <= self.hi
+        ok = (-math.inf < self.lo) & (self.lo <= self.hi) & (self.hi < math.inf)
         if not (ok.all() if isinstance(ok, np.ndarray) else ok):
-            raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
+            raise ValueError(f"interval [{self.lo}, {self.hi}] is not finite and ordered")
 
     @property
     def mid(self) -> float:
@@ -85,22 +88,15 @@ class GammaPhase:
 def gamma_phase(n: int, x: float, beta: float) -> GammaPhase:
     """The kernel-tail phase ((2n-1)x + pi(beta-1))/2; x a float or an
     array."""
-    n = _index(n)
-    return GammaPhase(((2 * n - 1) * x + PI * (beta - 1.0)) / 2.0)
-
-
-def _check_E(E: float) -> float:
-    E = float(E)
-    if not E >= 0.0:
-        raise ValueError(f"E must be >= 0, got {E}")
-    return E
+    n, beta = _index(n), _real(beta, "beta")
+    return GammaPhase(((2 * n - 1) * _finite(x) + PI * (beta - 1.0)) / 2.0)
 
 
 def thm1_rhs(psi: PsiFamily, n: int, x: float, E: float) -> float:
     """Deviation upper bound (2/pi)|sin((2n-1)x/2)| * (double tail) * E,
     using the certified upper end of the double tail.  x a float (float
     result) or an array (array result)."""
-    E = _check_E(E)
+    E = _real(E, "E", 0.0, closed=True)
     return sine_factor(n, x) * double_tail(psi, n).hi * E
 
 
@@ -109,7 +105,7 @@ def thm1_rhs_modified(psi: PsiFamily, n: int, x: float, E: float) -> float:
     splits exactly into tail_sum + weighted_tail; always >= thm1_rhs.
     It is the upper end of thm2_sup_bracket times E.  x a float (float
     result) or an array (array result)."""
-    E = _check_E(E)
+    E = _real(E, "E", 0.0, closed=True)
     return thm2_sup_bracket(psi, 0.0, n, x).hi * E
 
 
@@ -120,7 +116,7 @@ def thm2_sup_bracket(psi: PsiFamily, beta: float, n: int, x: float) -> Interval:
     endpoints; it is accepted for signature symmetry with the duality route.
     A float x gives float endpoints, an array x arrays of endpoints.
     """
-    del beta
+    _real(beta, "beta")
     T = tail_sum(psi, n)
     W = weighted_tail(psi, n)
     s = sine_factor(n, x)
@@ -144,7 +140,7 @@ def thm3_bracket(psi: PsiFamily, n: int, x: float, E: float) -> Thm3Brackets:
     Requires the family to declare the decay-characteristic structure
     (alpha decreasing to 0, lambda increasing) and alpha(n) <= 1/4.
     """
-    n, E = _index(n), _check_E(E)
+    n, E = _index(n), _real(E, "E", 0.0, closed=True)
     if not psi.m_alpha_member:
         raise HypothesisUnmet(
             f"{psi.label()} does not declare the slow-decay (alpha) structure")
@@ -169,9 +165,7 @@ class PoissonBounds(NamedTuple):
 def poisson_bounds(alpha: float, n: int, x: float, E: float) -> PoissonBounds:
     """thm1_rhs and the thm2 sup bracket for the geometric family
     exp(-alpha k), both scaled by E."""
-    if alpha <= 0.0:
-        raise ValueError("alpha must be > 0")
-    psi = Geometric(math.exp(-alpha))
+    psi = Geometric(math.exp(-_real(alpha, "alpha", 0.0)))
     rhs = thm1_rhs(psi, n, x, E)
     iv = thm2_sup_bracket(psi, 0.0, n, x)
     return PoissonBounds(rhs, Interval(iv.lo * E, iv.hi * E))
@@ -187,7 +181,7 @@ def dq_bound(psi: PsiFamily, n: int, x: float, E: float,
     c is the implementation's bounding constant for the unpinned O(1)
     terms (default 8, configurable).  Requires 1/n + eps_n < (1-q)/2.
     """
-    n, E = _index(n), _check_E(E)
+    n, E, c = _index(n), _real(E, "E", 0.0, closed=True), _real(c, "c", 0.0)
     q = psi.ratio_limit
     if q is None or not 0.0 < q < 1.0:
         raise HypothesisUnmet(f"{psi.label()} has no ratio limit in (0, 1)")
@@ -207,7 +201,7 @@ def d0_bound(psi: PsiFamily, n: int, x: float, E: float,
     """Bracket for fastest-decay families (ratio limit 0):
     (2/pi)|sin| (psi(n) -+ c R) E with R = tail_sum(n+1) + weighted_tail(n),
     the certified upper end of (1/n) sum_{k>n} k psi(k)."""
-    n, E = _index(n), _check_E(E)
+    n, E, c = _index(n), _real(E, "E", 0.0, closed=True), _real(c, "c", 0.0)
     if psi.ratio_limit != 0.0:
         raise HypothesisUnmet(f"{psi.label()} is not in the fastest-decay class")
     R = tail_sum(psi, n + 1).hi + weighted_tail(psi, n).hi
@@ -489,13 +483,11 @@ def duality_sup_batch(psi: PsiFamily, beta: float, n: int, xs,
     kernel weights are too small for float64 to hold them to rel_tol (see
     _trig_max).
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+    n, xs = _index(n), np.atleast_1d(np.asarray(xs, dtype=np.float64))
     if xs.ndim != 1:
         raise ValueError(f"xs must be one-dimensional, got shape {xs.shape}")
-    if not np.isfinite(xs).all():
-        raise ValueError("xs must be finite")
-    K = max(n + 8, truncation_order(psi, rel_tol, n=n))
     phase = np.exp(1j * gamma_phase(n, xs, beta).gamma_n)
+    K = max(n + 8, truncation_order(psi, rel_tol, n=n))
     best, miss = _trig_max(psi.head(K)[n - 1:], n, phase, max(16 * n, 256),
                            rel_tol)
     main = 0.5 * (best[0] + best[1])

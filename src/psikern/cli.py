@@ -31,6 +31,7 @@ from .harness import (
 )
 from .interp import _residual, lebesgue_fn, nodes
 from .psi import (
+    _index,
     characteristics,
     class_check,
     double_tail,
@@ -142,7 +143,7 @@ def _write_table(table, out_csv: str | None) -> None:
 
 def _cmd_lebesgue(args) -> int:
     n = int(args.order)
-    xg = _uniform_grid(args.grid)
+    xg = _uniform_grid(_index(args.grid, 1, "grid"))
     L = lebesgue_fn(n, xg)
     R = _residual(n, xg, L)
     if args.out_csv:
@@ -157,7 +158,7 @@ def _cmd_bounds(args) -> int:
     psi = psi_from_dict(json.loads(args.psi))
     n = int(args.order)
     beta = args.beta or 0.0
-    xg = _uniform_grid(args.x_grid or 64)
+    xg = _uniform_grid(_index(args.x_grid, 1, "x_grid"))
     # cached sums tighten as the caches grow, so the columns are taken in
     # this order: thm1, thm1-modified, thm2, then duality
     r1 = thm1_rhs(psi, n, xg, args.E)
@@ -252,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", required=True)
     p.add_argument("--beta", type=float)
     p.add_argument("--E", type=float, default=1.0)
-    p.add_argument("--x-grid", dest="x_grid", type=int)
+    p.add_argument("--x-grid", dest="x_grid", type=int, default=64)
     p.add_argument("--with-duality", action="store_true")
     p.add_argument("--out-csv")
     p.set_defaults(func=_cmd_bounds)

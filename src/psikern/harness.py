@@ -43,7 +43,8 @@ from .bounds import (
 )
 from .errors import TrendViolation
 from .interp import grid_deviation, lebesgue_fn
-from .psi import PsiFamily, limit_ratio, psi_from_dict, tail_sum
+from .psi import (PsiFamily, _index, _real, limit_ratio, psi_from_dict,
+                  tail_sum)
 from .trig import KernelSpec, TrigPoly, _uniform_grid, psi_integral
 
 PI = math.pi
@@ -75,16 +76,28 @@ class ExperimentConfig:
     slack_scale: float = 1e-9
     with_duality: bool = False
 
+    def __post_init__(self):
+        # every field through its kind's checker before a run reads it;
+        # a run that would check nothing is refused too
+        if not (self.psi_specs and self.n_list):
+            raise ValueError("psi_specs and n_list must be nonempty")
+        object.__setattr__(self, "psi_specs", tuple(self.psi_specs))
+        object.__setattr__(self, "n_list", tuple(map(_index, self.n_list)))
+        # count fields and their floors; the solvers' grid floor is 8n
+        for key, floor in (("n_functions", 1), ("x_grid", 1), ("seed", 0),
+                           ("solver_grid", 8 * max(self.n_list))):
+            v = getattr(self, key)
+            if v is not None or key != "solver_grid":
+                object.__setattr__(self, key, _index(v, floor, key))
+        _real(self.beta, "beta")
+        _real(self.slack_scale, "slack_scale", 0.0, closed=True)
+
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
         names = {f.name for f in dataclasses.fields(ExperimentConfig)}
         unknown = set(d) - names
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        d = dict(d)
-        for key in ("psi_specs", "n_list"):
-            if key in d:
-                d[key] = tuple(d[key])
         return ExperimentConfig(**d)
 
     def to_dict(self) -> dict:
@@ -162,7 +175,7 @@ def _random_phi(rng: np.random.Generator, n: int) -> TrigPoly:
 
 def _cells(config: ExperimentConfig) -> list[tuple[PsiFamily, int]]:
     fams = [psi_from_dict(dict(s)) for s in config.psi_specs]
-    return [(f, int(n)) for f in fams for n in config.n_list]
+    return [(f, n) for f in fams for n in config.n_list]
 
 
 def _corpus(config: ExperimentConfig, cells: list):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .psi import _index
+from .psi import _finite, _index
 from .trig import (TrigPoly, _pointwise, _sample, _sample_grid,
                    _uniform_grid, dirichlet)
 
@@ -30,13 +30,22 @@ class NodeSet:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _index(self.n))
-        object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=np.float64))
+        object.__setattr__(self, "nodes", _finite(
+            np.asarray(self.nodes, dtype=np.float64), "nodes"))
         if len(self.nodes) != 2 * self.n - 1:
             raise ValueError("node count must be 2n-1")
 
 
 def nodes(n: int) -> NodeSet:
     return NodeSet(n, _uniform_grid(2 * n - 1))
+
+
+def _samples(samples, n: int) -> np.ndarray:
+    """samples as the float64 values at the 2n-1 nodes, checked."""
+    s = _finite(np.asarray(samples, dtype=np.float64), "samples")
+    if s.shape != (2 * n - 1,):
+        raise ValueError(f"expected {2 * n - 1} samples, got shape {s.shape}")
+    return s
 
 
 def interpolate(samples, n: int) -> TrigPoly:
@@ -48,10 +57,7 @@ def interpolate(samples, n: int) -> TrigPoly:
     and likewise with sin for b_j; a0 = (2/N) sum_k f(x_k).
     """
     n = _index(n)
-    s = np.asarray(samples, dtype=np.float64)
-    N = 2 * n - 1
-    if s.shape != (N,):
-        raise ValueError(f"expected {N} samples, got shape {s.shape}")
+    s, N = _samples(samples, n), 2 * n - 1
     xk = nodes(n).nodes
     a0 = 2.0 / N * float(np.sum(s))
     if n == 1:
@@ -71,10 +77,7 @@ def node_sum_eval(samples, n: int, x):
     cross-checks and for callers holding only samples.
     """
     n = _index(n)
-    s = np.asarray(samples, dtype=np.float64)
-    N = 2 * n - 1
-    if s.shape != (N,):
-        raise ValueError(f"expected {N} samples, got shape {s.shape}")
+    s, N = _samples(samples, n), 2 * n - 1
     xk = nodes(n).nodes
     D = dirichlet(n, x[:, None] - xk[None, :])
     return 2.0 / N * (D @ s)
@@ -92,7 +95,7 @@ def grid_deviation(f, n: int, N: int) -> np.ndarray:
     """rho_n(f; 2*pi*j/N) for j = 0..N-1: f and its interpolant on the
     uniform N-point grid, each sampled as _sample_grid does, so a TrigPoly
     f costs two inverse FFTs and no cos/sin matrix."""
-    n = _index(n)
+    n, N = _index(n), _index(N, 1, "N")
     p = interpolate(_sample_grid(f, 2 * n - 1), n)
     return _sample_grid(f, N) - _sample_grid(p, N)
 
@@ -108,10 +111,11 @@ def lebesgue_fn(n: int, x):
 
 def sine_factor(n: int, x):
     """(2/pi)|sin((2n-1)x/2)|, the oscillation factor of every deviation
-    bound; zero exactly at the nodes.  x may be a float or a numpy array:
-    a scalar gives a float (math.sin), an array an array (np.sin)."""
+    bound; zero exactly at the nodes.  x may be a float or a numpy array,
+    every entry finite: a scalar gives a float (math.sin), an array an
+    array (np.sin)."""
     n = _index(n)
-    sin = np.sin if isinstance(x, np.ndarray) else math.sin
+    sin = np.sin if isinstance(_finite(x), np.ndarray) else math.sin
     return 2.0 / math.pi * abs(sin((2 * n - 1) * x / 2.0))
 
 
@@ -125,7 +129,5 @@ def lebesgue_residual(n: int, x):
 
 def _residual(n: int, x, L):
     """lebesgue_residual from L = lebesgue_fn(n, x), for a caller that
-    has L already."""
-    if n < 2:
-        raise ValueError("residual needs n >= 2 (ln n term)")
-    return L - sine_factor(n, x) * math.log(n)
+    has L already; n >= 2, for the ln n term."""
+    return L - sine_factor(_index(n, 2), x) * math.log(n)

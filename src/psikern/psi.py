@@ -144,13 +144,12 @@ class PsiFamily:
     cached sums read the suffix sums alone: tail_sum one entry,
     weighted_tail the sum of the entries past n, and double_tail one
     entry per block.  One certify-or-grow loop decides how far it grows:
-    the three sums of a family without a closed form, and
-    truncation_order, each hand it a reader of their value from one cache
-    snapshot and their remainder as a function of the cache length,
-    stated once.  The loop doubles the cache until that remainder
-    certifies, clamped to the term budget, and raises SlowConvergence at
-    the budget, or at once when the remainder at the budget cannot
-    certify.  Closed forms grow nothing.
+    the three sums of a family without a closed form each hand it a
+    reader of their value from one cache snapshot and their remainder as
+    a function of the cache length, stated once.  The loop doubles the
+    cache until that remainder certifies, clamped to the term budget, and
+    raises SlowConvergence at the budget, or at once when the remainder at
+    the budget cannot certify.  Closed forms grow nothing.
 
     The table holds the results certified while the snapshot was current,
     closed forms included: the latest one per sum and settings (rel_tol,
@@ -220,10 +219,7 @@ class PsiFamily:
             if length <= have:
                 return
             ks = np.arange(have + 1, length + 1, dtype=np.float64)
-            new = self._values_array(ks)
-            if np.any(new < 0.0) or not np.all(np.isfinite(new)):
-                raise ValueError(
-                    f"{self.kind}: sequence values must be finite and >= 0")
+            new = _psi_values(self._values_array(ks), self.kind)
             vals = np.concatenate([vals, new])
             # suffix sums, accumulated from the far (small) end so every
             # entry is accurate relative to itself, not to the series head
@@ -232,12 +228,12 @@ class PsiFamily:
 
     def head(self, K: int) -> np.ndarray:
         """psi(1..K) as an array (grows the cache as needed)."""
+        K = _index(K, 0, "K")
         self._ensure(K)
         return self._vals[:K]
 
     def value(self, k: int) -> float:
-        if k < 1 or k != int(k):
-            raise ValueError("k must be a positive integer")
+        k = _index(k, 1, "k")
         return float(self._values_array(np.array([float(k)]))[0])
 
     def label(self) -> str:
@@ -254,45 +250,83 @@ class PsiFamily:
 # ---------------------------------------------------------------------------
 
 
-def _index(n) -> int:
-    """n as an int, checked before any closed form reads it."""
-    if n < 1 or n != int(n):
-        raise ValueError("n must be a positive integer")
-    return int(n)
+def _index(n, floor: int = 1, name: str = "n") -> int:
+    """n as an int, checked before anything reads it: the one check of
+    every count (orders, indices, budgets, grid sizes).  It must be an
+    integer, or a float with an integral value, and at least floor; NaN,
+    +-inf and anything else raise ValueError."""
+    try:
+        i = int(n)
+    except (TypeError, ValueError, OverflowError):
+        i = None
+    if i is None or i != n or i < floor:
+        what = "a positive integer" if floor == 1 else f"an integer >= {floor}"
+        raise ValueError(f"{name} must be {what}, got {n!r}")
+    return i
+
+
+def _real(v, name: str, lo: float = -math.inf, hi: float = math.inf,
+          closed: bool = False) -> float:
+    """v as a float, checked: the one check of every real parameter.  It
+    must be finite and in (lo, hi), or in [lo, hi) when closed; anything
+    else raises ValueError."""
+    try:
+        x = float(v)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not (math.isfinite(x) and (lo <= x if closed else lo < x) and x < hi):
+        raise ValueError(f"{name} must be a finite number in "
+                         f"{'[' if closed else '('}{lo:g}, {hi:g}), got {v!r}")
+    return x
+
+
+def _finite(x, name: str = "x"):
+    """x, checked: the one check of every point and sample.  A float, or
+    every entry of a numpy array, must be finite; NaN or +-inf raises
+    ValueError."""
+    if not (np.isfinite(x).all() if isinstance(x, np.ndarray)
+            else math.isfinite(x)):
+        raise ValueError(f"{name} must be finite")
+    return x
+
+
+def _psi_values(vals: np.ndarray, label: str) -> np.ndarray:
+    """vals, checked: the one check of psi values, from a formula or a
+    table.  Every entry must be finite and >= 0, or ValueError is raised."""
+    if not ((vals >= 0.0) & (vals < math.inf)).all():
+        raise ValueError(f"{label}: psi values must be finite and >= 0")
+    return vals
 
 
 def _settings(psi, rel_tol, budget) -> tuple[float, int]:
     """rel_tol and budget (None takes the default), checked before any
     closed form or cache read."""
-    rel_tol = psi.default_rel_tol if rel_tol is None else float(rel_tol)
-    budget = DEFAULT_TERM_BUDGET if budget is None else int(budget)
-    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
-        raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol}")
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    rel_tol = psi.default_rel_tol if rel_tol is None \
+        else _real(rel_tol, "rel_tol", 0.0)
+    budget = DEFAULT_TERM_BUDGET if budget is None \
+        else _index(budget, 1, "budget")
     return rel_tol, budget
 
 
-def _stored(psi, key, at):
+def _stored(psi, key, n):
     """The result the current snapshot's table holds for key, if it was
-    certified at at; else None.
+    certified at n; else None.
 
     key = (what, rel_tol, budget, ...) names a sum and its checked
-    settings, and at the rest of the call (n, or n and more).  The table
-    holds one entry per key, the pair (at, result), replaced in one
-    assignment, so a racing thread reads a whole entry, and every entry
-    it can read is correct for its at.
+    settings.  The table holds one entry per key, the pair (n, result),
+    replaced in one assignment, so a racing thread reads a whole entry,
+    and every entry it can read is correct for its n.
     """
     hit = psi._cache[2].get(key)
-    return hit[1] if hit is not None and hit[0] == at else None
+    return hit[1] if hit is not None and hit[0] == n else None
 
 
-def _certified(psi, key, n, closed, read, rem, at=None):
+def _certified(psi, key, n, closed, read, rem):
     """A sum's result from its closed form, or from the one loop that
     grows a family's cache until a majorant certifies, for a call that
     _stored did not answer.  closed is the closed form's result, None
     when there is none; it is stored in the current snapshot's table as
-    (at, closed) under key, with at = n unless given.
+    (n, closed) under key.
 
     Each round of the loop takes one cache snapshot (suf, C): its suffix
     sums and its length.  read(suf, C) returns (value, terms_used) from
@@ -308,9 +342,8 @@ def _certified(psi, key, n, closed, read, rem, at=None):
     to certify.
     """
     what, rel_tol, budget = key[:3]
-    at = n if at is None else at
     if closed is not None:
-        psi._cache[2][key] = (at, closed)
+        psi._cache[2][key] = (n, closed)
         return closed
 
     psi._ensure(min(budget, n + 64))
@@ -323,7 +356,7 @@ def _certified(psi, key, n, closed, read, rem, at=None):
         r = rem(have)
         if (r <= rel_tol * value) or (value == 0.0 and r == 0.0):
             result = CertifiedSum(float(value), float(r), int(used))
-            table[key] = (at, result)
+            table[key] = (n, result)
             return result
         if have >= budget or rem(budget) > rel_tol * (value + r):
             break
@@ -373,10 +406,7 @@ def double_tail(psi: PsiFamily, n: int, rel_tol: float | None = None,
     so the remainder at cache length C is _tail_remainder(C) +
     _ktail_remainder(C)/s, and the sum refuses early as the other two do.
     """
-    n = _index(n)
-    if k_start < 0 or k_start != int(k_start):
-        raise ValueError("k_start must be a nonnegative integer")
-    k_start = int(k_start)
+    n, k_start = _index(n), _index(k_start, 0, "k_start")
     key = ("double_tail", *_settings(psi, rel_tol, budget), k_start)
     s = 2 * n - 1
 
@@ -422,29 +452,28 @@ def truncation_order(psi: PsiFamily, rel_tol: float | None = 1e-12,
     sum_{n<=k<=K} psi(k) cos(kt + c), relative to tail_sum(n).  rel_tol
     None is the family's default, as for the sums.
 
-    The cache grows in the certify-or-grow loop until its length
-    certifies, then K is found by bisection below it (every family's
-    remainder bound decreases in K), so K is not the cache length.
+    K comes from the remainder alone, and no cache grows: it doubles from
+    n until the remainder certifies, raising SlowConvergence once it would
+    pass the budget, and is then found by bisection below (every family's
+    remainder bound is nonincreasing in K).
     """
     n = _index(n)
     rel_tol, budget = _settings(psi, rel_tol, budget)
     tail = tail_sum(psi, n, rel_tol, budget).value
-    scale = tail if tail > 0.0 else 1.0
-
-    # the tail can come from an older snapshot than the loop reads, so
-    # the loop's result is stored for this scale only
-    key, at = ("truncation_order", rel_tol, budget), (n, scale)
-    lo = n
-    hi = (_stored(psi, key, at) or _certified(
-        psi, key, n, None, lambda suf, C: (scale, C),
-        psi._tail_remainder, at)).terms_used
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if psi._tail_remainder(mid) <= rel_tol * scale:
-            hi = mid
+    target = rel_tol * (tail if tail > 0.0 else 1.0)
+    lo = K = n
+    while K > budget or psi._tail_remainder(K) > target:
+        if K >= budget:
+            raise SlowConvergence(f"{psi.label()}: the kernel cutoff at n={n} "
+                                  f"needs over {budget} terms", budget)
+        lo, K = K + 1, min(2 * K, budget)
+    while lo < K:
+        mid = (lo + K) // 2
+        if psi._tail_remainder(mid) <= target:
+            K = mid
         else:
             lo = mid + 1
-    return lo
+    return K
 
 
 # ---------------------------------------------------------------------------
@@ -454,10 +483,9 @@ def truncation_order(psi: PsiFamily, rel_tol: float | None = 1e-12,
 
 def alpha_lambda(psi: PsiFamily, t: float) -> tuple[float, float]:
     """(alpha(t), lambda(t)) without the eta bisection; lambda = t*alpha."""
-    if t < 1.0:
-        raise ValueError("characteristics are defined for t >= 1")
-    if not psi.has_continuous_extension:
-        raise ValueError(f"{psi.kind} family has no continuous extension")
+    t = _real(t, "t", 1.0, closed=True)
+    # a family with no continuous extension has no analytic lambda, and
+    # its _psi_continuous raises ValueError
     lam = psi._lambda_analytic(t)
     if lam is None:
         h = 1e-5 * t
@@ -528,7 +556,7 @@ def class_check(psi: PsiFamily, n_range: Sequence[int]) -> dict[int, ClassFlags]
     is_d0 = q == 0.0
     out: dict[int, ClassFlags] = {}
     for n in n_range:
-        n = int(n)
+        n = _index(n)
         eps = mono = None
         if is_dq:
             eps, mono = psi._eps_sup(n, q)
@@ -658,17 +686,20 @@ def hurwitz_zeta(s: float, a) -> tuple[np.ndarray, np.ndarray]:
     ceil(s + 20)).  x = a + N >= s + 20 still, so the Euler-Maclaurin part
     is unchanged.  For tiny a, a^(-s) can overflow; lo is then not finite.
     """
-    s = float(s)
+    s = _real(s, "s", 1.0)
     a = np.asarray(a, dtype=np.float64)
-    if not (s > 1.0 and np.all(a > 0.0)):
-        raise ValueError("hurwitz_zeta needs s > 1 and a > 0")
+    _real(np.min(a), "a", 0.0)
     N = np.maximum(np.ceil(s + _EM_SHIFT - a), 0.0)
     x = a + N
     # the head sum_{k<N} (a+k)^-s as a running sum over k, in O(len(a))
-    # memory; the terms past an entry's N add 0.0, which is exact
+    # memory; the terms past an entry's N add 0.0, which is exact, and so
+    # do all terms once every entry's has underflowed (they decrease in k)
     head = np.zeros_like(x)
     for k in range(int(N.max(initial=0.0))):
-        head += np.where(k < N, (a + k) ** -s, 0.0)
+        term = np.where(k < N, (a + k) ** -s, 0.0)
+        if not term.any():
+            break
+        head += term
     p = x ** -s
     y = 1.0 / (x * x)
     coef, rising = [], s  # coef[j-1] = B_2j/(2j)! (s)_{2j-1}
@@ -711,10 +742,9 @@ class Power(PsiFamily):
     kind = "power"
 
     def __init__(self, r: float):
-        if not r > 2.0:
-            raise ValueError("power family needs r > 2 (k-weighted tails must converge)")
         super().__init__()
-        self.r = float(r)
+        # r > 2: the k-weighted tails must converge
+        self.r = _real(r, "r", 2.0)
 
     def params(self):
         return {"r": self.r}
@@ -791,10 +821,8 @@ class Geometric(PsiFamily):
     kind = "geometric"
 
     def __init__(self, q: float):
-        if not 0.0 < q < 1.0:
-            raise ValueError("geometric family needs 0 < q < 1")
         super().__init__()
-        self.q = float(q)
+        self.q = _real(q, "q", 0.0, 1.0)
         self.ratio_limit = self.q
 
     def params(self):
@@ -836,13 +864,14 @@ class GenPoisson(PsiFamily):
     kind = "gen_poisson"
 
     def __init__(self, alpha: float, r: float):
-        if not (alpha > 0.0 and r > 0.0):
-            raise ValueError("gen_poisson family needs alpha > 0 and r > 0")
         super().__init__()
-        self.alpha = float(alpha)
-        self.r = float(r)
+        self.alpha = _real(alpha, "alpha", 0.0)
+        self.r = r = _real(r, "r", 0.0)
+        _real(self.alpha * r, "alpha * r", 0.0)   # the majorant divides by it
         if r == 1.0:
-            self.ratio_limit = math.exp(-self.alpha)
+            # the geometric closed forms divide by 1 - q
+            self.ratio_limit = _real(math.exp(-self.alpha), "exp(-alpha)",
+                                     0.0, 1.0)
         elif r > 1.0:
             self.ratio_limit = 0.0
         self.m_alpha_member = r < 1.0
@@ -857,10 +886,17 @@ class GenPoisson(PsiFamily):
         # int_K^inf t^m e^{-a t^r} dt <= K^{m+1-r} e^{-a K^r} / (a r (1-c)),
         # c = (m+1-r)/(a r K^r); valid (and used) only while c <= 0.9
         ar = self.alpha * self.r
-        c = (m + 1.0 - self.r) / (ar * K ** self.r)
+        try:
+            Kr = K ** self.r
+        except OverflowError:
+            # e^{-alpha K^r} underflows to 0 once alpha K^r > 746; short
+            # of that K^r itself is out of range, and no bound is given
+            return 0.0 if math.log(self.alpha) + self.r * math.log(K) \
+                > math.log(746.0) else math.inf
+        c = (m + 1.0 - self.r) / (ar * Kr)
         if c > 0.9:
             return math.inf
-        A = K ** (m + 1.0 - self.r) * math.exp(-self.alpha * K ** self.r) / ar
+        A = K ** (m + 1.0 - self.r) * math.exp(-self.alpha * Kr) / ar
         return A if c <= 0.0 else A / (1.0 - c)
 
     def _tail_remainder(self, K):
@@ -967,13 +1003,9 @@ class PolyharmonicPoisson(PsiFamily):
     kind = "polyharmonic_poisson"
 
     def __init__(self, q: float, l: int):
-        if not 0.0 < q < 1.0:
-            raise ValueError("polyharmonic family needs 0 < q < 1")
-        if l < 1 or l != int(l):
-            raise ValueError("polyharmonic family needs integer l >= 1")
         super().__init__()
-        self.q = float(q)
-        self.l = int(l)
+        self.q = _real(q, "q", 0.0, 1.0)
+        self.l = _index(l, 1, "l")
         self.ratio_limit = self.q
 
     def params(self):
@@ -1021,10 +1053,8 @@ class AnalyticSech(PsiFamily):
     kind = "analytic_sech"
 
     def __init__(self, q: float):
-        if not 0.0 < q < 1.0:
-            raise ValueError("analytic_sech family needs 0 < q < 1")
         super().__init__()
-        self.q = float(q)
+        self.q = _real(q, "q", 0.0, 1.0)
         self.ratio_limit = self.q
 
     def params(self):
@@ -1063,10 +1093,8 @@ class Neumann(PsiFamily):
     kind = "neumann"
 
     def __init__(self, q: float):
-        if not 0.0 < q < 1.0:
-            raise ValueError("neumann family needs 0 < q < 1")
         super().__init__()
-        self.q = float(q)
+        self.q = _real(q, "q", 0.0, 1.0)
         self.ratio_limit = self.q
 
     def params(self):
@@ -1101,11 +1129,9 @@ class EvenOdd(PsiFamily):
     has_continuous_extension = False
 
     def __init__(self, q1: float, q2: float):
-        if not 1.0 > q1 > q2 > 0.0:
-            raise ValueError("even_odd family needs 1 > q1 > q2 > 0")
         super().__init__()
-        self.q1 = float(q1)
-        self.q2 = float(q2)
+        self.q1 = _real(q1, "q1", 0.0, 1.0)
+        self.q2 = _real(q2, "q2", 0.0, self.q1)
 
     def params(self):
         return {"q1": self.q1, "q2": self.q2}
@@ -1121,19 +1147,16 @@ class EvenOdd(PsiFamily):
     def _ktail_remainder(self, K):
         return _geom_ktail(self.q1, K + 1)
 
-    def _tail_closed(self, m):
-        q1, q2 = self.q1, self.q2
-        if m % 2 == 0:
-            return q2 ** m / (1.0 - q2 ** 2) + q1 ** (m + 1) / (1.0 - q1 ** 2)
-        return q1 ** m / (1.0 - q1 ** 2) + q2 ** (m + 1) / (1.0 - q2 ** 2)
+    def _parity(self, m):
+        # the ratio of m's parity, then the other one
+        return (self.q2, self.q1) if m % 2 == 0 else (self.q1, self.q2)
 
     def _closed_tail(self, n):
-        return _exact(self._tail_closed(n))
+        a, b = self._parity(n)
+        return _exact(a ** n / (1.0 - a ** 2) + b ** (n + 1) / (1.0 - b ** 2))
 
     def _closed_weighted(self, n):
-        q1, q2 = self.q1, self.q2
-        if n % 2 == 1:
-            q1, q2 = q2, q1
+        q2, q1 = self._parity(n)
         # even offsets land on the q2-parity ladder, odd offsets on q1's
         even_part = 2.0 * q2 ** (n + 2) / (1.0 - q2 ** 2) ** 2
         odd_part = 2.0 * q1 ** (n + 3) / (1.0 - q1 ** 2) ** 2 \
@@ -1142,15 +1165,12 @@ class EvenOdd(PsiFamily):
 
     def _closed_double(self, n, k_start):
         s = 2 * n - 1
-        q1, q2 = self.q1, self.q2
 
         def block(m):
-            # sum_{j>=0} tail_closed(m + 2sj): the parity of m is preserved
-            if m % 2 == 0:
-                return q2 ** m / ((1.0 - q2 ** 2) * (1.0 - q2 ** (2 * s))) \
-                    + q1 ** (m + 1) / ((1.0 - q1 ** 2) * (1.0 - q1 ** (2 * s)))
-            return q1 ** m / ((1.0 - q1 ** 2) * (1.0 - q1 ** (2 * s))) \
-                + q2 ** (m + 1) / ((1.0 - q2 ** 2) * (1.0 - q2 ** (2 * s)))
+            # sum_{j>=0} of the tail from m + 2sj: the parity of m is kept
+            a, b = self._parity(m)
+            return a ** m / ((1.0 - a ** 2) * (1.0 - a ** (2 * s))) \
+                + b ** (m + 1) / ((1.0 - b ** 2) * (1.0 - b ** (2 * s)))
 
         m0 = n + k_start * s
         return _exact(block(m0) + block(m0 + s))
@@ -1187,8 +1207,7 @@ class Tabulated(PsiFamily):
         vals = np.asarray(values, dtype=np.float64)
         if vals.ndim != 1 or len(vals) == 0:
             raise ValueError("tabulated family needs a nonempty 1-d value list")
-        if np.any(vals < 0.0) or not np.all(np.isfinite(vals)):
-            raise ValueError("tabulated values must be finite and >= 0")
+        _psi_values(vals, "tabulated")
         if majorant is not None and not _is_geometric_majorant(majorant, vals):
             raise ValueError('majorant must be None or {"geometric": '
                              '{"K": int >= 1, "rho": float in (0, 1)}} that '
@@ -1242,7 +1261,10 @@ def psi_from_dict(spec: dict) -> PsiFamily:
     if kind not in _REGISTRY:
         raise ValueError(f"unknown family kind {kind!r}")
     kwargs = {k: v for k, v in spec.items() if k != "kind"}
-    return _REGISTRY[kind](**kwargs)
+    try:
+        return _REGISTRY[kind](**kwargs)
+    except TypeError as exc:    # an unknown or a missing key, named in exc
+        raise ValueError(f"{kind} family spec: {exc}") from exc
 
 
 def psi_to_dict(psi: PsiFamily) -> dict:

@@ -18,7 +18,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ZeroMultiplier
-from .psi import CertifiedSum, PsiFamily, _index, truncation_order
+from .psi import (CertifiedSum, PsiFamily, _finite, _index, _real,
+                  truncation_order)
 
 # below this the closed Dirichlet form loses digits to the sine quotient
 DIRICHLET_SWITCHOVER = 1e-8
@@ -31,12 +32,13 @@ def _uniform_grid(M: int) -> np.ndarray:
 
 def _pointwise(fn):
     """Wrap fn(*args, x) so that x reaches it as a float64 array of at
-    least one dimension, of any shape; a scalar x gives a float back, an
-    array x the array fn returns."""
+    least one dimension, of any shape, every entry finite (else
+    ValueError); a scalar x gives a float back, an array x the array fn
+    returns."""
     @functools.wraps(fn)
     def wrapper(*args):
         *head, x = args
-        xv = np.asarray(x, dtype=np.float64)
+        xv = _finite(np.asarray(x, dtype=np.float64))
         out = fn(*head, np.atleast_1d(xv))
         return float(out[0]) if xv.ndim == 0 else out
     return wrapper
@@ -59,9 +61,8 @@ class TrigPoly:
         b = np.atleast_1d(np.asarray(self.b, dtype=np.float64))
         if a.shape != b.shape or a.ndim != 1:
             raise ValueError("cos and sin coefficient arrays must be 1-d and equal length")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "a0", float(self.a0))
+        for name, v in (("a", a), ("b", b), ("a0", float(self.a0))):
+            object.__setattr__(self, name, _finite(v, name))
 
     @property
     def order(self) -> int:
@@ -69,13 +70,14 @@ class TrigPoly:
 
     @staticmethod
     def zero(order: int = 0) -> "TrigPoly":
+        order = _index(order, 0, "order")
         return TrigPoly(0.0, np.zeros(order), np.zeros(order))
 
     @staticmethod
     def harmonic(k: int, a: float = 0.0, b: float = 0.0) -> "TrigPoly":
-        """The single-harmonic polynomial a cos(kx) + b sin(kx) (k >= 1)."""
-        if k < 1:
-            raise ValueError("harmonic index must be >= 1; use a0 for the constant")
+        """The single-harmonic polynomial a cos(kx) + b sin(kx) (k >= 1;
+        use a0 for the constant)."""
+        k = _index(k, 1, "k")
         ca = np.zeros(k)
         cb = np.zeros(k)
         ca[k - 1] = a
@@ -92,6 +94,7 @@ class TrigPoly:
 
     def coeff(self, k: int) -> tuple[float, float]:
         """(a_k, b_k); k = 0 returns (a0, 0)."""
+        k = _index(k, 0, "k")
         if k == 0:
             return self.a0, 0.0
         if k <= self.order:
@@ -100,11 +103,8 @@ class TrigPoly:
 
     def _aligned(self, other: "TrigPoly") -> tuple[np.ndarray, ...]:
         m = max(self.order, other.order)
-        pa = np.zeros(m); pb = np.zeros(m)
-        qa = np.zeros(m); qb = np.zeros(m)
-        pa[: self.order] = self.a; pb[: self.order] = self.b
-        qa[: other.order] = other.a; qb[: other.order] = other.b
-        return pa, pb, qa, qb
+        return tuple(np.pad(v, (0, m - len(v)))
+                     for v in (self.a, self.b, other.a, other.b))
 
     def __add__(self, other: "TrigPoly") -> "TrigPoly":
         pa, pb, qa, qb = self._aligned(other)
@@ -159,6 +159,9 @@ class KernelSpec:
     psi: PsiFamily
     beta: float = 0.0
 
+    def __post_init__(self):
+        _real(self.beta, "beta")
+
     @property
     def phase(self) -> float:
         return self.beta * math.pi / 2.0
@@ -195,6 +198,7 @@ def kernel_eval(spec: KernelSpec, t: float, rel_tol: float = 1e-12) -> Certified
     sum_{k>K} psi(k) dominates the dropped signed terms, so the true value
     lies within value +- remainder_bound.
     """
+    _finite(t, "t")
     K = truncation_order(spec.psi, rel_tol)
     ks = np.arange(1.0, K + 1.0)
     value = float(np.dot(spec.psi.head(K), np.cos(ks * t - spec.phase)))
@@ -227,10 +231,10 @@ def psi_derivative(f: TrigPoly, spec: KernelSpec) -> TrigPoly:
         return TrigPoly.zero()
     pk = spec.psi.head(m)
     dead = pk == 0.0
-    if np.any(dead & ((np.abs(f.a) > 0.0) | (np.abs(f.b) > 0.0))):
-        k = int(np.nonzero(dead & ((np.abs(f.a) > 0.0) | (np.abs(f.b) > 0.0)))[0][0]) + 1
-        raise ZeroMultiplier(
-            f"psi({k}) = 0 under a nonzero harmonic; derivative undefined")
+    hit = np.flatnonzero(dead & ((f.a != 0.0) | (f.b != 0.0)))
+    if hit.size:
+        raise ZeroMultiplier(f"psi({hit[0] + 1}) = 0 under a nonzero "
+                             "harmonic; derivative undefined")
     c = spec.phase
     ca, sa = math.cos(c), math.sin(c)
     ar = f.a * ca + f.b * sa
@@ -273,8 +277,8 @@ def convolve_quadrature(spec: KernelSpec, phi, x: float, M: int,
     kernel_eval.  The independent slow route: tests pit it against
     psi_integral.
     """
-    if M < 4:
-        raise ValueError("M must be >= 4")
+    M = _index(M, 4, "M")
+    _finite(x)
     tj = _uniform_grid(M)
     pv = _sample(phi, tj)
     K = truncation_order(spec.psi, rel_tol)

@@ -415,3 +415,11 @@ def test_value_is_translation_invariant_in_polynomials(a0, a1, b1, hi):
     e_g = best_l1(lambda t: g(t), n, 96).value
     e_gp = best_l1(lambda t: g(t) + p(t), n, 96).value
     assert e_gp == pytest.approx(e_g, rel=1e-8, abs=1e-10)
+
+
+def test_singular_block_is_a_solver_stall():
+    for op, args in ((np.linalg.inv, (np.zeros((3, 3)),)),
+                     (np.linalg.solve, (np.zeros((3, 3)), np.ones(3)))):
+        with pytest.raises(SolverStall, match="singular L1 basis block") as err:
+            bestapprox._nonsingular(op, 7, "L1 basis block", *args)
+        assert err.value.iterations == 7

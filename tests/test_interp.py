@@ -19,10 +19,12 @@ from psikern import (
     TrigPoly,
     best_l1,
     best_uniform,
+    class_check,
     d0_bound,
     deviation,
     dirichlet,
     dq_bound,
+    duality_sup_batch,
     gamma_phase,
     grid_deviation,
     interpolate,
@@ -32,6 +34,8 @@ from psikern import (
     nodes,
     oracle_best_l1,
     sine_factor,
+    thm1_rhs,
+    thm2_sup_bracket,
     thm3_bracket,
 )
 
@@ -228,6 +232,12 @@ ORDER_ENTRIES = {
     "dq_bound": lambda n: dq_bound(Geometric(0.5), n, 0.3, 1.0),
     "d0_bound": lambda n: d0_bound(GenPoisson(1.0, 2.0), n, 0.3, 1.0),
     "thm3_bracket": lambda n: thm3_bracket(ExpLogSquared(), n, 0.3, 1.0),
+    "thm1_rhs": lambda n: thm1_rhs(Geometric(0.5), n, 0.3, 1.0),
+    "thm2_sup_bracket": lambda n: thm2_sup_bracket(Geometric(0.5), 0.0, n,
+                                                   0.3),
+    "duality_sup_batch": lambda n: duality_sup_batch(Geometric(0.5), 0.0, n,
+                                                     [0.3]),
+    "class_check": lambda n: class_check(Geometric(0.5), [n]),
 }
 
 

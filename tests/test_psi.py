@@ -6,8 +6,11 @@ zetas for the power double tail, and a counting-weight sum
 sum_nu (floor((nu-n)/(2n-1))+1) psi(nu) for the generalized-Poisson one.
 """
 
+import contextlib
+import dataclasses
 import math
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -995,3 +998,395 @@ def test_sums_meet_their_contract(spec, n, rel_tol, budget, k_start):
         except (ValueError, PsikernError):
             continue
         assert _meets_contract(res, n), (name, res)
+
+
+# ---------------------------------------------------------------------------
+# the contract of the whole public API
+# ---------------------------------------------------------------------------
+
+# candidate draws outside an argument's domain, by kind; a count's also
+# include floor - 1 and floor + 0.5, and a real's its finite ends
+_BAD_COUNTS = [0, -1, 2.5, 20.5, math.nan, math.inf, -math.inf]
+_BAD_REALS = [math.nan, math.inf, -math.inf, 0.0, -1.0, 2.5, 1e-300]
+
+
+def _in_count_domain(v, floor):
+    return math.isfinite(v) and v == int(v) and v >= floor
+
+
+class _Draw:
+    """Draws the numeric arguments of one call, each of one kind (count,
+    real parameter or point).  At most one of them, the bad_at-th drawn,
+    comes from outside its domain, so that no other argument's check can
+    answer for its own; valid says whether all lie in their domains."""
+
+    def __init__(self, data):
+        self.data, self.valid, self.i = data, True, 0
+        self.bad_at = data.draw(st.integers(0, 7))
+
+    def _pick(self, good, bad):
+        """A draw from the strategy good, or from the list bad for the
+        bad_at-th argument."""
+        self.i += 1
+        if (self.i - 1 == self.bad_at or good is None) and bad:
+            self.valid = False
+            return self.data.draw(st.sampled_from(bad))
+        return self.data.draw(good)
+
+    def count(self, floor=1, cap=8, good=None):
+        bad = [v for v in _BAD_COUNTS + [floor - 1, floor + 0.5]
+               if not _in_count_domain(v, floor)]
+        # every third valid count as an integral float
+        ints = st.integers(floor, max(floor, cap)).map(
+            lambda i: float(i) if i % 3 == 0 else i)
+        return self._pick(ints if good is None else ints | good, bad)
+
+    def optional_count(self, floor=1, cap=8):
+        return self.count(floor, cap, good=st.none())
+
+    def real(self, lo=-math.inf, hi=math.inf, closed=False, large=1e300):
+        inside = (lambda v: lo <= v < hi) if closed \
+            else (lambda v: lo < v < hi)
+        a, b = max(lo, -large), min(hi, large)
+        if a == lo and not closed:
+            a = math.nextafter(a, math.inf)
+        if b == hi:
+            b = math.nextafter(b, -math.inf)
+        bad = [v for v in _BAD_REALS + [lo, hi, -large, large]
+               if not (math.isfinite(v) and inside(v))]
+        # an empty domain, such as (0, 5e-324), has bad draws only
+        return self._pick(st.floats(a, b) if a <= b else None, bad)
+
+    def rel_tol(self):
+        return self._pick(st.sampled_from([1e-3, 1e-6]), _BAD_REALS[:5])
+
+    def point(self, array=True):
+        """A scalar x, or (when array) sometimes it among others."""
+        x = self._pick(st.floats(-1e300, 1e300), _BAD_REALS[:3])
+        if array and self.data.draw(st.booleans()):
+            return np.array([0.3, x, -2.0])
+        return x
+
+    def psi(self):
+        i = self.data.draw(st.integers(0, len(_CONTRACT_SPECS) - 1))
+        return _family(i)
+
+
+_FAMILIES = {}
+
+
+def _family(i):
+    # one instance per spec for the whole test: building LogLogPower's
+    # cache once keeps the draws fast, and a cache that grows between
+    # calls changes no contract
+    if i not in _FAMILIES:
+        _FAMILIES[i] = psi_from_dict(_CONTRACT_SPECS[i])
+    return _FAMILIES[i]
+
+
+# the sweep families of the harness, indices into _CONTRACT_SPECS
+_SWEEP = [1, 2, 8, 9]
+_F = pk.TrigPoly(0.0, [0.3, 0.0, -0.2], [0.0, 0.5, 0.1])
+
+
+def _sums(psi, d):
+    n = d.count(cap=50)
+    return (tail_sum(psi, n, budget=10 ** 5),
+            weighted_tail(psi, n, budget=10 ** 5),
+            double_tail(psi, n, budget=10 ** 5))
+
+
+def _approx(solve, d, cap):
+    n = d.count(cap=cap)
+    floor = 8 * int(n) if d.valid else 8
+    # the oracle's search costs 21^3 M: it is given no default 64n grid
+    M = d.count(floor, floor + 8) if solve is pk.oracle_best_l1 \
+        else d.optional_count(floor, floor + 48)
+    return solve(_F, n, M)
+
+
+def _config(d):
+    spec = _CONTRACT_SPECS[d.data.draw(st.sampled_from(_SWEEP))]
+    n = d.count(cap=4)
+    floor = 8 * int(n) if d.valid else 32
+    return pk.ExperimentConfig(
+        psi_specs=(spec,), beta=d.real(large=10.0), n_list=(n,),
+        n_functions=d.count(cap=2), x_grid=d.count(cap=16),
+        seed=d.count(0, 10), solver_grid=d.optional_count(floor, floor + 32),
+        slack_scale=d.real(0.0, closed=True),
+        with_duality=d.data.draw(st.booleans()))
+
+
+def _samples_at(d, n):
+    s = np.linspace(-1.0, 1.0, max(1, 2 * int(n) - 1) if d.valid else 3)
+    s[0] = d.point(array=False)
+    return s
+
+
+# every public callable that takes numbers, by name; each entry draws its
+# arguments and makes the call
+_PUBLIC_CALLS = {
+    # psi
+    "Power": lambda d: _sums(Power(d.real(2.0, large=1e308)), d),
+    "Geometric": lambda d: _sums(Geometric(d.real(0.0, 1.0)), d),
+    "GenPoisson": lambda d: _sums(GenPoisson(
+        d.real(0.0, large=1e308), 1.0 if d.data.draw(st.booleans())
+        else d.real(0.0)), d),
+    "PolyharmonicPoisson": lambda d: _sums(PolyharmonicPoisson(
+        d.real(0.0, 1.0), d.count(cap=6)), d),
+    "AnalyticSech": lambda d: _sums(AnalyticSech(d.real(0.0, 1.0)), d),
+    "Neumann": lambda d: _sums(Neumann(d.real(0.0, 1.0)), d),
+    "EvenOdd": lambda d: (lambda q1: _sums(EvenOdd(
+        q1, d.real(0.0, q1 if 0.0 < q1 < 1.0 else 1.0)), d))(
+            d.real(0.0, 1.0)),
+    "Tabulated": lambda d: _sums(Tabulated(
+        [d.real(0.0, closed=True) for _ in range(3)]), d),
+    "psi_from_dict": lambda d: psi_from_dict(
+        {**_CONTRACT_SPECS[1], "q": d.real(0.0, 1.0)}),
+    "eval": lambda d: pk.eval(d.psi(), d.count(cap=1000)),
+    "tail_sum": lambda d: tail_sum(d.psi(), d.count(cap=400), d.rel_tol(),
+                                   d.count(cap=10 ** 5)),
+    "weighted_tail": lambda d: weighted_tail(
+        d.psi(), d.count(cap=400), d.rel_tol(), d.count(cap=10 ** 5)),
+    "double_tail": lambda d: double_tail(
+        d.psi(), d.count(cap=400), d.rel_tol(),
+        d.count(cap=10 ** 5), d.count(0, 3)),
+    "limit_ratio": lambda d: limit_ratio(
+        d.psi(), d.count(cap=400), d.rel_tol(), d.count(cap=10 ** 5)),
+    "lemma1_check": lambda d: lemma1_check(
+        d.psi(), d.count(cap=400), d.rel_tol(), d.count(cap=10 ** 5)),
+    "truncation_order": lambda d: truncation_order(
+        d.psi(), d.rel_tol(), d.count(cap=10 ** 5),
+        d.count(cap=400)),
+    "alpha_lambda": lambda d: alpha_lambda(d.psi(), d.real(1.0, closed=True)),
+    "characteristics": lambda d: characteristics(
+        d.psi(), d.real(1.0, closed=True)),
+    "class_check": lambda d: class_check(
+        d.psi(), [d.count(cap=50) for _ in range(d.data.draw(
+            st.integers(1, 2)))]),
+    # trig
+    "TrigPoly": lambda d: pk.TrigPoly(d.real(), [d.real(), 1.0],
+                                      [0.5, d.real()]),
+    "TrigPoly.harmonic": lambda d: pk.TrigPoly.harmonic(
+        d.count(cap=16), d.real(), d.real()),
+    "TrigPoly.zero": lambda d: pk.TrigPoly.zero(d.count(0, 16)),
+    "TrigPoly.coeff": lambda d: _F.coeff(d.count(0, 6)),
+    "TrigPoly.__call__": lambda d: _F(d.point()),
+    "TrigPoly.__mul__": lambda d: _F * d.real(),
+    "KernelSpec": lambda d: pk.KernelSpec(d.psi(), d.real()),
+    "dirichlet": lambda d: pk.dirichlet(d.count(cap=16), d.point()),
+    "kernel_eval": lambda d: pk.kernel_eval(
+        pk.KernelSpec(d.psi(), d.real(large=10.0)), d.point(array=False),
+        d.rel_tol()),
+    "convolve_quadrature": lambda d: pk.convolve_quadrature(
+        pk.KernelSpec(d.psi()), _F, d.point(array=False), d.count(4, 64),
+        d.rel_tol()),
+    # interp
+    "NodeSet": lambda d: (lambda n: pk.NodeSet(n, _samples_at(d, n)))(
+        d.count(cap=8)),
+    "nodes": lambda d: pk.nodes(d.count(cap=16)),
+    "interpolate": lambda d: (lambda n: pk.interpolate(_samples_at(d, n), n))(
+        d.count(cap=8)),
+    "node_sum_eval": lambda d: (lambda n: pk.node_sum_eval(
+        _samples_at(d, n), n, d.point()))(d.count(cap=8)),
+    "deviation": lambda d: pk.deviation(_F, d.count(cap=8), d.point()),
+    "grid_deviation": lambda d: pk.grid_deviation(
+        _F, d.count(cap=8), d.count(cap=64)),
+    "lebesgue_fn": lambda d: pk.lebesgue_fn(d.count(cap=16), d.point()),
+    "lebesgue_residual": lambda d: pk.lebesgue_residual(
+        d.count(cap=16), d.point()),
+    "sine_factor": lambda d: pk.sine_factor(d.count(cap=64), d.point()),
+    # bounds
+    "gamma_phase": lambda d: pk.gamma_phase(
+        d.count(cap=64), d.point(), d.real()),
+    "thm1_rhs": lambda d: pk.thm1_rhs(
+        d.psi(), d.count(cap=64), d.point(), d.real(0.0, closed=True)),
+    "thm1_rhs_modified": lambda d: pk.thm1_rhs_modified(
+        d.psi(), d.count(cap=64), d.point(), d.real(0.0, closed=True)),
+    "thm2_sup_bracket": lambda d: pk.thm2_sup_bracket(
+        d.psi(), d.real(), d.count(cap=64), d.point()),
+    "thm3_bracket": lambda d: pk.thm3_bracket(
+        d.psi(), d.count(cap=64), d.point(), d.real(0.0, closed=True)),
+    "poisson_bounds": lambda d: pk.poisson_bounds(
+        d.real(0.0), d.count(cap=64), d.point(), d.real(0.0, closed=True)),
+    "dq_bound": lambda d: pk.dq_bound(
+        d.psi(), d.count(cap=64), d.point(), d.real(0.0, closed=True),
+        d.real(0.0)),
+    "d0_bound": lambda d: pk.d0_bound(
+        d.psi(), d.count(cap=64), d.point(), d.real(0.0, closed=True),
+        d.real(0.0)),
+    "duality_sup": lambda d: pk.duality_sup(
+        d.psi(), d.real(), d.count(cap=8), d.point(array=False), d.rel_tol()),
+    "duality_sup_batch": lambda d: pk.duality_sup_batch(
+        d.psi(), d.real(), d.count(cap=8),
+        np.atleast_1d(d.point()), d.rel_tol()),
+    # bestapprox
+    "best_l1": lambda d: _approx(pk.best_l1, d, 4),
+    "best_uniform": lambda d: _approx(pk.best_uniform, d, 4),
+    "oracle_best_l1": lambda d: _approx(pk.oracle_best_l1, d, 2),
+    # harness: the summary of a small run
+    "ExperimentConfig": _config,
+    "verify_lebesgue": lambda d: pk.verify_lebesgue(_config(d))[1],
+    "classical_lebesgue_check": lambda d: pk.classical_lebesgue_check(
+        _config(d))[1],
+    "sharpness_probe": lambda d: pk.sharpness_probe(_config(d))[1],
+}
+
+# public names that take no numbers of their own: result records, errors,
+# and callables whose numbers come in through the records above
+_NO_NUMBERS = {
+    "ApproxResult", "BoundReport", "CertifiedSum", "Characteristics",
+    "ClassFlags", "ClassicalReport", "GammaPhase", "Interval",
+    "Lemma1Result", "PoissonBounds", "SharpnessRow", "Thm3Brackets",
+    "DivisionDomain", "HypothesisUnmet", "NonMonotone", "PsikernError",
+    "SlowConvergence", "SolverStall", "TrendViolation",
+    "UnknownRatioMonotonicity", "ZeroMultiplier",
+    "PsiFamily", "LogLogPower", "ExpLogSquared", "ExpTOverLog",
+    "PeriodicFn", "psi_derivative", "psi_integral", "psi_to_dict",
+}
+
+
+def test_contract_covers_the_public_api():
+    public = {name for name in pk.__all__ if callable(getattr(pk, name))}
+    covered = {name.split(".")[0] for name in _PUBLIC_CALLS}
+    assert public - _NO_NUMBERS == covered
+    assert not covered & _NO_NUMBERS
+
+
+def _finite_values(res) -> bool:
+    """Whether every number in res is finite, with lo <= hi for an
+    Interval and value <= hi for a CertifiedSum."""
+    if isinstance(res, pk.Interval):
+        return _finite_values((res.lo, res.hi)) and bool(
+            np.all(res.lo <= res.hi))
+    if isinstance(res, CertifiedSum):
+        return _finite_values((res.value, res.hi)) and res.value <= res.hi
+    if res is None or isinstance(res, (bool, str, pk.PsiFamily)):
+        return True
+    if isinstance(res, (int, float, np.number, np.ndarray)):
+        return bool(np.all(np.isfinite(res)))
+    if isinstance(res, dict):
+        return _finite_values(list(res.values()))
+    if isinstance(res, (tuple, list)):
+        return all(map(_finite_values, res))
+    assert dataclasses.is_dataclass(res), type(res)
+    return all(_finite_values(getattr(res, f.name))
+               for f in dataclasses.fields(res))
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the block after seconds of wall time."""
+    def stop(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("name", sorted(_PUBLIC_CALLS))
+@given(data=st.data())
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+def test_public_api_meets_its_contract(name, data):
+    """Never a quiet wrong number: a call with an argument outside its
+    domain raises ValueError or a typed error; any other call does that
+    or returns finite values (lo <= hi for an Interval or CertifiedSum).
+    TypeError, OverflowError, ZeroDivisionError, IndexError, a NaN or
+    infinite result and a hang all fail."""
+    d = _Draw(data)
+    try:
+        with _time_limit(10.0), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            res = _PUBLIC_CALLS[name](d)
+    except (ValueError, PsikernError):
+        return
+    assert d.valid, f"{name} returned {res!r} for an argument outside its domain"
+    assert _finite_values(res), (name, res)
+
+
+# calls that returned a number or raised TypeError, OverflowError or
+# ZeroDivisionError before each argument kind had its one checker
+_OUT_OF_DOMAIN = {
+    "class_check n_range 2.5": lambda: class_check(Geometric(0.5), [2.5]),
+    "oracle_best_l1 M 20.5": lambda: pk.oracle_best_l1(_F, 2, 20.5),
+    "convolve_quadrature M 8.5": lambda: pk.convolve_quadrature(
+        pk.KernelSpec(Geometric(0.5)), _F, 0.3, 8.5),
+    "grid_deviation N 16.5": lambda: pk.grid_deviation(_F, 4, 16.5),
+    "thm1_rhs x nan": lambda: pk.thm1_rhs(Geometric(0.5), 4, math.nan, 1.0),
+    "thm1_rhs E inf": lambda: pk.thm1_rhs(Geometric(0.5), 4, 0.3, math.inf),
+    "tail_sum n inf": lambda: tail_sum(GenPoisson(1.0, 0.5), math.inf),
+    "tail_sum budget inf": lambda: tail_sum(GenPoisson(1.0, 0.5), 4,
+                                            budget=math.inf),
+    "tail_sum budget 2.5": lambda: tail_sum(GenPoisson(1.0, 0.5), 4,
+                                            budget=2.5),
+    "TrigPoly.harmonic 2.5": lambda: pk.TrigPoly.harmonic(2.5),
+    "Power r inf": lambda: Power(math.inf),
+    "GenPoisson exp(-alpha) = 1": lambda: GenPoisson(1e-17, 1.0),
+    "ExperimentConfig n_functions 0": lambda: pk.ExperimentConfig(
+        n_functions=0),
+    "psi_from_dict unknown key": lambda: psi_from_dict(
+        {"kind": "geometric", "q": 0.5, "x": 1}),
+    "psi_from_dict missing key": lambda: psi_from_dict({"kind": "neumann"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OUT_OF_DOMAIN))
+def test_out_of_domain_arguments_raise_value_error(case):
+    with pytest.raises(ValueError):
+        _OUT_OF_DOMAIN[case]()
+
+
+def test_psi_from_dict_names_the_bad_key():
+    with pytest.raises(ValueError, match="geometric family spec: .*'x'"):
+        psi_from_dict({"kind": "geometric", "q": 0.5, "x": 1})
+    with pytest.raises(ValueError, match="even_odd family spec: .*'q1'"):
+        psi_from_dict({"kind": "even_odd"})
+
+
+def test_integral_float_counts_are_counts():
+    assert np.array_equal(pk.grid_deviation(_F, 4.0, 16.0),
+                          pk.grid_deviation(_F, 4, 16))
+    assert class_check(Geometric(0.5), [3.0]) == class_check(
+        Geometric(0.5), [3])
+    assert pk.TrigPoly.harmonic(2.0, a=1.0).to_dict() \
+        == pk.TrigPoly.harmonic(2, a=1.0).to_dict()
+
+
+def test_truncation_order_reads_the_remainder_alone():
+    # K is the smallest certified cutoff, and no cache grows for it
+    for psi in (Geometric(0.5), Power(3.0), EvenOdd(0.9, 0.5),
+                GenPoisson(1.0, 1.0)):
+        for n in (1, 4, 37):
+            K = truncation_order(psi, 1e-9, n=n)
+            target = 1e-9 * tail_sum(psi, n, 1e-9).value
+            assert psi._tail_remainder(K) <= target
+            assert K == n or psi._tail_remainder(K - 1) > target
+        assert len(psi._vals) == 0
+    psi = GenPoisson(1.0, 0.5)
+    tail_sum(psi, 5, 1e-9)
+    C = len(psi._vals)
+    truncation_order(psi, 1e-9, n=5)
+    assert len(psi._vals) == C
+    with pytest.raises(SlowConvergence) as exc:
+        truncation_order(Geometric(0.5), 1e-12, budget=10, n=4)
+    assert exc.value.terms_used == 10
+
+
+def test_hurwitz_head_stops_once_its_terms_underflow():
+    # the head of zeta(s, a) takes about s + 20 steps unless it stops once
+    # every term left is 0.0: Power(1e5) took 0.5 s, and Power(1e308)
+    # never returned (past r = 1e154 the Euler-Maclaurin coefficients
+    # overflow, and the sum refuses its NaN)
+    for r in (1e5, 1e308):
+        for total in (tail_sum, weighted_tail, double_tail):
+            try:
+                with _time_limit(5.0), warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    res = total(Power(r), 4)
+            except (ValueError, PsikernError):
+                continue
+            assert math.isfinite(res.hi) and res.value <= res.hi
