@@ -336,10 +336,11 @@ def _certified(psi, key, n, closed, read, rem):
     the snapshot certifies in its first round with the same bits.  The
     cache starts at n + 64 terms and doubles, never past budget.  The
     value at any length is at most value + rem(C), so once rem(budget)
-    exceeds rel_tol times that, no length within the budget can certify;
-    the loop then raises SlowConvergence at once, as it does at the budget
-    and for a budget below n, reporting the budget as the terms shown not
-    to certify.
+    exceeds rel_tol times that, or is inf (no majorant yet, say where its
+    ratio bound leaves the double range), no length within the budget can
+    certify; the loop then raises SlowConvergence at once, as it does at
+    the budget and for a budget below n, reporting the budget as the terms
+    shown not to certify.
     """
     what, rel_tol, budget = key[:3]
     if closed is not None:
@@ -358,7 +359,9 @@ def _certified(psi, key, n, closed, read, rem):
             result = CertifiedSum(float(value), float(r), int(used))
             table[key] = (n, result)
             return result
-        if have >= budget or rem(budget) > rel_tol * (value + r):
+        r_end = rem(budget)
+        if have >= budget or r_end == math.inf \
+                or r_end > rel_tol * (value + r):
             break
         # the cache holds at least n + 64 terms here, so doubling also
         # reaches past n + 128
@@ -685,10 +688,20 @@ def hurwitz_zeta(s: float, a) -> tuple[np.ndarray, np.ndarray]:
     counts the N - 1 head additions from the N actually taken (at most
     ceil(s + 20)).  x = a + N >= s + 20 still, so the Euler-Maclaurin part
     is unchanged.  For tiny a, a^(-s) can overflow; lo is then not finite.
+    Past s of about 4.8e14 the rising factorial (s)_21 leaves the double
+    range, and HypothesisUnmet is raised before any array is touched.
     """
     s = _real(s, "s", 1.0)
     a = np.asarray(a, dtype=np.float64)
     _real(np.min(a), "a", 0.0)
+    coef, rising = [], s  # coef[j-1] = B_2j/(2j)! (s)_{2j-1}
+    for j, c in enumerate(_EM_COEF, start=1):
+        coef.append(c * rising)
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+    if not math.isfinite(coef[-1]):
+        raise HypothesisUnmet(
+            f"hurwitz_zeta: the Euler-Maclaurin coefficients at s = {s!r} "
+            f"leave the double range")
     N = np.maximum(np.ceil(s + _EM_SHIFT - a), 0.0)
     x = a + N
     # the head sum_{k<N} (a+k)^-s as a running sum over k, in O(len(a))
@@ -702,10 +715,6 @@ def hurwitz_zeta(s: float, a) -> tuple[np.ndarray, np.ndarray]:
         head += term
     p = x ** -s
     y = 1.0 / (x * x)
-    coef, rising = [], s  # coef[j-1] = B_2j/(2j)! (s)_{2j-1}
-    for j, c in enumerate(_EM_COEF, start=1):
-        coef.append(c * rising)
-        rising *= (s + 2 * j - 1) * (s + 2 * j)
     corr = np.zeros_like(x)
     for c in reversed(coef[:_EM_TERMS]):
         corr = corr * y + c
@@ -1022,8 +1031,16 @@ class PolyharmonicPoisson(PsiFamily):
     def _values_array(self, k):
         return self.q ** k * self._poly(k)
 
+    def _growth(self, K):
+        # (1 + 1/K)^(l-1) bounds P(k+1)/P(k) for every k >= K; inf where
+        # it leaves the double range, which _ratio_tail reads as no bound
+        try:
+            return (1.0 + 1.0 / K) ** (self.l - 1)
+        except OverflowError:
+            return math.inf
+
     def _rho(self, K):
-        return self.q * (1.0 + 1.0 / K) ** (self.l - 1)
+        return self.q * self._growth(K)
 
     def _tail_remainder(self, K):
         return _ratio_tail(self.value(K), self._rho(K))
@@ -1033,12 +1050,17 @@ class PolyharmonicPoisson(PsiFamily):
 
     def _eps_sup(self, n, q):
         kp = max(4 * n, 4096)
-        ks = np.arange(n, kp + 1, dtype=np.float64)
         # psi(k+1)/psi(k) = q P(k+1)/P(k) exactly; the polynomial form
-        # stays finite long after psi itself underflows
-        ratios = q * self._poly(ks + 1.0) / self._poly(ks)
+        # stays finite long after psi itself underflows, but not at every l
+        with np.errstate(over="ignore"):
+            P = self._poly(np.arange(n, kp + 2, dtype=np.float64))
+        beyond = q * (self._growth(kp) - 1.0)
+        if not (np.all(np.isfinite(P)) and math.isfinite(beyond)):
+            raise HypothesisUnmet(
+                f"{self.label()}: the ratio bound leaves the double range "
+                f"for k <= {kp + 1}")
+        ratios = q * P[1:] / P[:-1]
         dev = np.abs(ratios - q)
-        beyond = q * ((1.0 + 1.0 / kp) ** (self.l - 1) - 1.0)
         mono = bool(np.all(np.diff(dev) <= 1e-15))
         return float(max(dev.max(), beyond)), mono
 

@@ -7,12 +7,14 @@ x = pi/5, beta = 0.25, scaled by (2/pi)|sin((2n-1)x/2)|.
 The duality checks at the end compare against independent slow routes:
 dense cos/sin tables for the folded-FFT grid and the polish sums, the
 dense roll-and-mask grid selection over all 2 len(xs) x M points, sums
-taken once per entry, a closed-form Newton iteration for a two-term
+taken once per entry, mpmath and long-double dense sums for the
+recurrence phase tables, a closed-form Newton iteration for a two-term
 kernel, and a brute-force 2^16-point grid for random short tables.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -435,7 +437,10 @@ def test_duality_grid_selection_matches_dense_reference(monkeypatch):
 
 def test_duality_shared_kernel_sums_are_bit_identical(monkeypatch):
     def per_entry(ts, rot, W, n):
+        # the cell midpoints pass W[:1] and read sigma g alone
         Z = bounds._trig_sums(ts, W, n)
+        if len(W) == 1:
+            return ((rot * Z[0]).real,)
         return (rot * Z[0]).real, -(rot * Z[1]).imag, -(rot * Z[2]).real
 
     rng = np.random.default_rng(11)
@@ -448,9 +453,12 @@ def test_duality_shared_kernel_sums_are_bit_identical(monkeypatch):
             rot = np.exp(1j * rng.uniform(0.0, 2 * math.pi, 6))
             for ts in (rng.uniform(0.0, 2 * math.pi, 3)[[0, 1, 0, 2, 1, 0]],
                        np.full(6, rng.uniform(0.0, 2 * math.pi))):
-                for a, b in zip(_evaluate(ts, rot, W, n),
-                                per_entry(ts, rot, W, n)):
-                    assert np.array_equal(a, b)
+                for rows in (W, W[:1]):
+                    got = _evaluate(ts, rot, rows, n)
+                    want = per_entry(ts, rot, rows, n)
+                    assert len(got) == len(want) == len(rows)
+                    for a, b in zip(got, want):
+                        assert np.array_equal(a, b)
             shared = duality_sup_batch(make(), 0.0, n, xs)
             with monkeypatch.context() as m:
                 m.setattr(bounds, "_evaluate", per_entry)
@@ -471,11 +479,71 @@ def test_trig_sums_rows_do_not_depend_on_the_row_count():
             ks, vals = np.arange(n, K + 1), psi.head(K)[n - 1:]
             W = np.stack([vals, ks * vals, ks * (ks * vals)])
             full = bounds._trig_sums(ts, W, n)
+            # the cell midpoints sum the weights of g alone
+            assert np.array_equal(bounds._trig_sums(ts, W[:1], n), full[:1])
             for _ in range(16):
                 rows = rng.choice(40, size=int(rng.integers(1, 6)),
                                   replace=False)
                 assert np.array_equal(bounds._trig_sums(ts[rows], W, n),
                                       full[:, rows])
+                assert np.array_equal(bounds._trig_sums(ts[rows], W[:1], n),
+                                      full[:1, rows])
+
+
+def _dense_sums_mp(ts, ks, vals):
+    """sum_k k^r vals_k e^{ikt}, r = 0, 1, 2, in mpmath at dps 30."""
+    out = np.empty((3, len(ts)), dtype=complex)
+    with mpmath.workdps(30):
+        for j, t in enumerate(ts):
+            acc = [mpmath.mpc(0)] * 3
+            for k, w in zip(ks.tolist(), vals.tolist()):
+                e = mpmath.expj(k * mpmath.mpf(t)) * w
+                acc = [acc[0] + e, acc[1] + k * e, acc[2] + k * k * e]
+            out[:, j] = [complex(a) for a in acc]
+    return out
+
+
+def _dense_sums_ld(ts, ks, vals):
+    """The same sums in 80-bit long double: k t rounds to 2^-64 relative,
+    2^-11 of the allowance the test below gives the float tables for the
+    same rounding."""
+    k, w = ks.astype(np.longdouble), vals.astype(np.longdouble)
+    out = np.empty((3, len(ts)), dtype=complex)
+    for j, t in enumerate(ts):
+        ph = k * np.longdouble(t)
+        c, s = np.cos(ph), np.sin(ph)
+        for r in range(3):
+            wr = w * k ** r
+            out[r, j] = complex(float(wr @ c), float(wr @ s))
+    return out
+
+
+@pytest.mark.parametrize("K", [40, 300, 1300, 38000])
+def test_trig_sums_against_extended_precision(K):
+    """The phase tables are recurrences; no entry may drift past what the
+    rounding of the arguments n t and B t (|kt| u per term, as a dense
+    table's fl(kt) carried) leaves, plus 1e-14 of sum k^r |w_k|.  At
+    n = 1024 the argument n t rounds exactly, and the recurrence is all
+    that is left."""
+    if K > 1300 and np.finfo(np.longdouble).eps > 2.0 ** -60:
+        pytest.skip("long double is double on this platform")
+    rng = np.random.default_rng([41, K])
+    for n in (1, int(rng.integers(2, 1000)), 1024):
+        if K <= 300:
+            vals = rng.standard_normal(K)
+        elif K == 1300:
+            vals = GenPoisson(1.0, 0.5).head(n + K - 1)[n - 1:]
+        else:
+            vals = Power(3.0).head(n + K - 1)[n - 1:]
+        ks = np.arange(n, n + K)
+        W = np.stack([vals, ks * vals, ks * (ks * vals)])
+        ts = rng.uniform(-0.1, 2 * math.pi + 0.1, 3)
+        ref = (_dense_sums_ld if K > 1300 else _dense_sums_mp)(ts, ks, vals)
+        got = bounds._trig_sums(ts, W, n)
+        for r in range(3):
+            mass = np.abs(W[r])
+            tol = 1e-14 * mass.sum() + 2.0 ** -53 * np.abs(ts) * (ks @ mass)
+            assert np.all(np.abs(got[r] - ref[r]) <= tol), (K, n, r)
 
 
 def test_duality_finds_the_higher_of_two_near_equal_peaks():

@@ -1379,8 +1379,8 @@ def test_truncation_order_reads_the_remainder_alone():
 def test_hurwitz_head_stops_once_its_terms_underflow():
     # the head of zeta(s, a) takes about s + 20 steps unless it stops once
     # every term left is 0.0: Power(1e5) took 0.5 s, and Power(1e308)
-    # never returned (past r = 1e154 the Euler-Maclaurin coefficients
-    # overflow, and the sum refuses its NaN)
+    # never returned (past r of about 4.8e14 the Euler-Maclaurin
+    # coefficients leave the double range, and the sum refuses)
     for r in (1e5, 1e308):
         for total in (tail_sum, weighted_tail, double_tail):
             try:
@@ -1390,3 +1390,41 @@ def test_hurwitz_head_stops_once_its_terms_underflow():
             except (ValueError, PsikernError):
                 continue
             assert math.isfinite(res.hi) and res.value <= res.hi
+
+
+@pytest.mark.parametrize("r", [1e15, 1e100, 1e308])
+def test_power_past_the_em_range_refuses_with_the_typed_error(r):
+    # the rising factorial (r)_21 of the Euler-Maclaurin coefficients
+    # overflows past r of about 4.8e14; the sums once went on to NaN
+    # after numpy warnings and refused it with a bare ValueError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for total in (tail_sum, weighted_tail, double_tail):
+            with pytest.raises(HypothesisUnmet):
+                total(Power(r), 4)
+        with pytest.raises(HypothesisUnmet):
+            hurwitz_zeta(r, np.array([1.0, 4.0]))
+        # just below the threshold the sums are still enclosures
+        for total in (tail_sum, weighted_tail):
+            res = total(Power(1e14), 4)
+            assert res.value <= 0.0 <= res.hi
+
+
+def test_polyharmonic_large_l_refuses_instead_of_overflowing():
+    # (1 + 1/K)^(l-1) once raised OverflowError from _rho after 0.78 s,
+    # and _eps_sup divided overflowed polynomials into a NaN eps_n
+    psi = PolyharmonicPoisson(0.5, 50000)
+    with _time_limit(2.0), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises((SlowConvergence, HypothesisUnmet, ValueError)):
+            tail_sum(psi, 1, budget=1000)
+    assert psi._rho(1) == math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(HypothesisUnmet):
+            class_check(PolyharmonicPoisson(0.5, 2000), [1])
+        with pytest.raises(HypothesisUnmet):
+            pk.dq_bound(PolyharmonicPoisson(0.5, 3000), 10, 0.3, 1.0)
+    # a small l keeps its finite eps_n
+    eps, _ = PolyharmonicPoisson(0.5, 6)._eps_sup(4, 0.5)
+    assert math.isfinite(eps) and eps > 0.0
