@@ -4,7 +4,6 @@ them together for convolution classes of smooth periodic functions."""
 
 from .bestapprox import ApproxResult, best_l1, best_uniform, oracle_best_l1
 from .bounds import (
-    GammaPhase,
     Interval,
     PoissonBounds,
     Thm3Brackets,
@@ -82,7 +81,6 @@ from .psi import (
 )
 from .trig import (
     KernelSpec,
-    PeriodicFn,
     TrigPoly,
     convolve_quadrature,
     dirichlet,

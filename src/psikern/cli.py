@@ -16,7 +16,7 @@ import numpy as np
 
 from .bestapprox import best_l1, best_uniform
 from .bounds import (
-    duality_sup_batch,
+    _duality_interval,
     thm1_rhs,
     thm1_rhs_modified,
     thm2_sup_bracket,
@@ -166,9 +166,8 @@ def _cmd_bounds(args) -> int:
     t2 = thm2_sup_bracket(psi, beta, n, xg)
     dual_lo = dual_hi = None
     if args.with_duality:
-        dual = duality_sup_batch(psi, beta, n, xg)
-        dual_lo = np.array([iv.lo for iv in dual])
-        dual_hi = np.array([iv.hi for iv in dual])
+        dual = _duality_interval(psi, beta, n, xg)
+        dual_lo, dual_hi = dual.lo, dual.hi
     _write_table(_BoundsTable(xg, r1, rm, t2.lo, t2.hi, dual_lo, dual_hi),
                  args.out_csv)
     return 0

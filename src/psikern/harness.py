@@ -34,9 +34,8 @@ import numpy as np
 
 from .bestapprox import best_l1, best_uniform
 from .bounds import (
-    Interval,
+    _duality_interval,
     duality_sup,
-    duality_sup_batch,
     sine_factor,
     thm1_rhs,
     thm2_sup_bracket,
@@ -210,12 +209,10 @@ def verify_lebesgue(config: ExperimentConfig,
         rhs1 = thm1_rhs(psi, n, xg, 1.0)
         dual_lo = dual_hi = ok_dual = None
         if config.with_duality:
-            dual = duality_sup_batch(psi, config.beta, n, xg)
-            dual_lo = np.array([iv.lo for iv in dual])
-            dual_hi = np.array([iv.hi for iv in dual])
+            dual = _duality_interval(psi, config.beta, n, xg)
+            dual_lo, dual_hi = dual.lo, dual.hi
             ok_dual = thm2.contains_interval(
-                Interval(dual_lo, dual_hi),
-                config.slack_scale * (1.0 + np.abs(thm2.hi)))
+                dual, config.slack_scale * (1.0 + np.abs(thm2.hi)))
         # the cell's columns, thm1 at E = 1; the function's are filled in
         # per block
         cell_reports.append(BoundReport(
@@ -233,10 +230,8 @@ def verify_lebesgue(config: ExperimentConfig,
             rhs_thm1_modified=cell.thm2_hi * E,
             ok_thm1=lhs <= rhs1 + config.slack_scale * (1.0 + lhs + rhs1)))
 
-    blocks.sort(key=lambda b: (b.psi, b.n, b.phi_index))
-    summary = _summarize([b.lhs for b in blocks], [b.rhs_thm1 for b in blocks],
-                         [b.ok_thm1 for b in blocks])
-    rows = _emit(blocks, summary, out_csv, out_json)
+    rows, summary = _emit_corpus(blocks, "rhs_thm1", "ok_thm1", out_csv,
+                                 out_json)
     if plot_script is not None and out_csv is not None:
         _write_plot_script(plot_script, out_csv,
                            xcol=5, ycols=(6, 8), names=("lhs", "rhs_thm1"))
@@ -302,11 +297,7 @@ def classical_lebesgue_check(config: ExperimentConfig,
         ok = lhs <= rhs_c + config.slack_scale * (1.0 + lhs + rhs_c)
         blocks.append(ClassicalReport(labels[ci], config.beta, n, i, xg, lhs,
                                       Eu, rhs_c, rhs1, rat, ok))
-    blocks.sort(key=lambda b: (b.psi, b.n, b.phi_index))
-    summary = _summarize([b.lhs for b in blocks],
-                         [b.rhs_classical for b in blocks],
-                         [b.ok for b in blocks])
-    return _emit(blocks, summary, out_csv, out_json), summary
+    return _emit_corpus(blocks, "rhs_classical", "ok", out_csv, out_json)
 
 
 # ---------------------------------------------------------------------------
@@ -314,15 +305,22 @@ def classical_lebesgue_check(config: ExperimentConfig,
 # ---------------------------------------------------------------------------
 
 
-def _summarize(lhs: list, rhs: list, ok: list) -> dict:
-    """pass/fail counts and the worst lhs/rhs over rows with rhs > 0, from
-    per-block columns of equal length."""
-    lhs, rhs, ok = np.ravel(lhs), np.ravel(rhs), np.ravel(ok)
+def _emit_corpus(blocks: list, rhs_name: str, ok_name: str,
+                 out_csv: str | None, out_json: str | None):
+    """The corpus blocks sorted by (psi, n, phi_index) and emitted (see
+    _emit) with their summary: the pass/fail counts of the ok_name column
+    and the worst lhs/rhs over rows with rhs > 0, rhs the rhs_name column.
+    Returns (rows, summary)."""
+    blocks.sort(key=lambda b: (b.psi, b.n, b.phi_index))
+    lhs = np.ravel([b.lhs for b in blocks])
+    rhs = np.ravel([getattr(b, rhs_name) for b in blocks])
+    ok = np.ravel([getattr(b, ok_name) for b in blocks])
     n_fail = ok.size - int(np.count_nonzero(ok))
     pos = rhs > 0.0
     r = lhs[pos] / rhs[pos]
-    return {"pass": ok.size - n_fail, "fail": n_fail,
-            "worst_ratio": float(np.max(r, initial=0.0, where=~np.isnan(r)))}
+    worst = float(np.max(r, initial=0.0, where=~np.isnan(r)))
+    summary = {"pass": ok.size - n_fail, "fail": n_fail, "worst_ratio": worst}
+    return _emit(blocks, summary, out_csv, out_json), summary
 
 
 class _Line(list):
@@ -545,21 +543,6 @@ def _fill_words(x: np.ndarray, words: np.ndarray) -> None:
             bad.size, _W // 8)
 
 
-def _block_columns(blocks: list):
-    """Each block with its columns of Python values: a numpy column's
-    list, and a single value repeated down the block.  A cell's blocks
-    are adjacent, so its shared columns (x, thm2, duality) are converted
-    once per run of blocks."""
-    prev: dict = {}
-    for b in blocks:
-        m = np.size(b.x)
-        cur = {id(v): prev.get(id(v)) or v.tolist()
-               for v in b if isinstance(v, np.ndarray)}
-        yield b, [cur[id(v)] if isinstance(v, np.ndarray) else repeat(v, m)
-                  for v in b]
-        prev = cur
-
-
 class _Rows(Sequence):
     """Read-only rows of the sorted blocks, made one block at a time.
 
@@ -578,7 +561,10 @@ class _Rows(Sequence):
         return self._ends[-1] if self._ends else 0
 
     def __iter__(self):
-        for b, cols in _block_columns(self._blocks):
+        for b in self._blocks:
+            m = np.size(b.x)
+            cols = [v.tolist() if isinstance(v, np.ndarray) else repeat(v, m)
+                    for v in b]
             yield from map(tuple.__new__, repeat(type(b)), zip(*cols))
 
     def __getitem__(self, i):

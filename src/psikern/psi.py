@@ -447,7 +447,7 @@ def lemma1_check(psi: PsiFamily, n: int, rel_tol: float | None = None,
     return Lemma1Result(W.value, R.value, bool(W.value >= R.value - slack))
 
 
-def truncation_order(psi: PsiFamily, rel_tol: float | None = 1e-12,
+def truncation_order(psi: PsiFamily, rel_tol: float | None = DEFAULT_REL_TOL,
                      budget: int | None = None, n: int = 1) -> int:
     """Smallest K >= n with _tail_remainder(K) <= rel_tol * T, where T is
     tail_sum(psi, n, rel_tol).value (T = 1 when that tail is 0, so the
@@ -1021,11 +1021,33 @@ class PolyharmonicPoisson(PsiFamily):
         return {"q": self.q, "l": self.l}
 
     def _poly(self, k):
+        """The bracket polynomial P(k) at every k >= 1, the sum of terms
+        z^j/(j! 2^j) prod_{v<j}(k+2v), z = 1 - q^2, j < l.
+
+        Term j + 1 is term j times z(k+2j)/(2j+2), a factor that never
+        rises above the larger of its current value and z.  The sum stops
+        once, for every entry, the term adds nothing to p and both that
+        factor and z are below 1 - 8u (u = 2^-53): every later term is then
+        smaller, after its three roundings, and rounding is monotone, so
+        every later addition leaves p unchanged and P is the full sum to
+        the bit.
+        Raises HypothesisUnmet once a term or p leaves the double range.
+        """
+        z = 1.0 - self.q ** 2
+        below = 1.0 - 8.0 * _U
         p = np.ones_like(k)
         term = np.ones_like(k)
-        for j in range(1, self.l):
-            term = term * (1.0 - self.q ** 2) / (2.0 * j) * (k + 2.0 * (j - 1))
-            p = p + term
+        with np.errstate(over="ignore"):
+            for j in range(1, self.l):
+                term = term * z / (2.0 * j) * (k + 2.0 * (j - 1))
+                p, prev = p + term, p
+                if not np.isfinite(p).all():
+                    raise HypothesisUnmet(
+                        f"{self.label()}: the bracket polynomial leaves the "
+                        f"double range at term {j}")
+                if (z < below and (p == prev).all() and (
+                        z * (k + 2.0 * j) < (2.0 * j + 2.0) * below).all()):
+                    break
         return p
 
     def _values_array(self, k):
@@ -1050,15 +1072,15 @@ class PolyharmonicPoisson(PsiFamily):
 
     def _eps_sup(self, n, q):
         kp = max(4 * n, 4096)
-        # psi(k+1)/psi(k) = q P(k+1)/P(k) exactly; the polynomial form
-        # stays finite long after psi itself underflows, but not at every l
-        with np.errstate(over="ignore"):
-            P = self._poly(np.arange(n, kp + 2, dtype=np.float64))
         beyond = q * (self._growth(kp) - 1.0)
-        if not (np.all(np.isfinite(P)) and math.isfinite(beyond)):
+        if not math.isfinite(beyond):
             raise HypothesisUnmet(
                 f"{self.label()}: the ratio bound leaves the double range "
-                f"for k <= {kp + 1}")
+                f"past k = {kp}")
+        # psi(k+1)/psi(k) = q P(k+1)/P(k) exactly; the polynomial form
+        # stays finite long after psi itself underflows, but not at every
+        # l, where _poly refuses
+        P = self._poly(np.arange(n, kp + 2, dtype=np.float64))
         ratios = q * P[1:] / P[:-1]
         dev = np.abs(ratios - q)
         mono = bool(np.all(np.diff(dev) <= 1e-15))

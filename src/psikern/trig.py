@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ZeroMultiplier
-from .psi import (CertifiedSum, PsiFamily, _finite, _index, _real,
-                  truncation_order)
+from .psi import (DEFAULT_REL_TOL, CertifiedSum, PsiFamily, _finite, _index,
+                  _real, truncation_order)
 
 # below this the closed Dirichlet form loses digits to the sine quotient
 DIRICHLET_SWITCHOVER = 1e-8
@@ -137,22 +136,6 @@ class TrigPoly:
 
 
 @dataclass(frozen=True)
-class PeriodicFn:
-    """A 2*pi-periodic function given by a point evaluator.
-
-    known_fourier, when present, is the exact coefficient representation
-    (used by checks that want both routes).
-    """
-
-    evaluate: Callable[[float], float]
-    known_fourier: TrigPoly | None = None
-    label: str = ""
-
-    def __call__(self, x):
-        return self.evaluate(x)
-
-
-@dataclass(frozen=True)
 class KernelSpec:
     """The (psi, beta) pair defining the kernel sum psi(k) cos(kt - beta*pi/2)."""
 
@@ -190,7 +173,8 @@ def dirichlet(n: int, t):
     return out
 
 
-def kernel_eval(spec: KernelSpec, t: float, rel_tol: float = 1e-12) -> CertifiedSum:
+def kernel_eval(spec: KernelSpec, t: float,
+                rel_tol: float = DEFAULT_REL_TOL) -> CertifiedSum:
     """Kernel value sum_{k<=K} psi(k) cos(kt - beta*pi/2) with certified cutoff.
 
     K = truncation_order(psi, rel_tol), the smallest cutoff certified at
@@ -269,7 +253,7 @@ def _sample_grid(f, N: int) -> np.ndarray:
 
 
 def convolve_quadrature(spec: KernelSpec, phi, x: float, M: int,
-                        rel_tol: float = 1e-12) -> float:
+                        rel_tol: float = DEFAULT_REL_TOL) -> float:
     """mean(phi) + (1/pi) int_0^{2pi} K_beta(x-t) phi(t) dt by the periodic
     trapezoid rule on M uniform points (spectrally accurate for smooth phi).
 

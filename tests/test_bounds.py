@@ -65,7 +65,7 @@ def test_interval_mechanics():
 
 def test_phase_and_sine_factor():
     g = gamma_phase(3, 0.4, 0.5)
-    assert g.gamma_n == pytest.approx((5 * 0.4 + math.pi * (-0.5)) / 2.0)
+    assert g == pytest.approx((5 * 0.4 + math.pi * (-0.5)) / 2.0)
     assert sine_factor(4, 0.6) == pytest.approx(
         2 / math.pi * abs(math.sin(7 * 0.6 / 2)), rel=1e-15)
     # vanishes at every node, peaks at 2/pi
@@ -419,7 +419,7 @@ def test_duality_grid_selection_matches_dense_reference(monkeypatch):
         rec = calls[-1]
         # the full product over both sides; its sigma = -1 rows are -V
         ks, vals = _kernel_tail(psi, n)
-        phase = np.exp(1j * gamma_phase(n, np.asarray(x), 0.0).gamma_n)
+        phase = np.exp(1j * gamma_phase(n, np.asarray(x), 0.0))
         M = rec["V"].shape[1]
         V2 = np.outer(np.concatenate([phase, -phase]),
                       _grid_profile(ks, vals, M)).real
@@ -551,7 +551,7 @@ def test_duality_finds_the_higher_of_two_near_equal_peaks():
     equal height; polishing only the grid argmax settles on the lower one,
     1.1e-6 below the true sup."""
     n, x = 2, 1.0617128210050935
-    gam = gamma_phase(n, x, 0.0).gamma_n
+    gam = gamma_phase(n, x, 0.0)
 
     def g(t, m):  # m-th derivative of g
         return sum(c * k ** m * np.cos(k * t + gam + m * math.pi / 2)
@@ -573,7 +573,7 @@ def _brute_enclosure(psi, beta, n, x, K, points):
     uniform grid, and that plus h^2/8 sum k^2 psi(k), from dense tables."""
     ks = np.arange(n, K + 1, dtype=np.float64)
     vals = np.array([psi.value(int(k)) for k in ks])
-    gam = gamma_phase(n, x, beta).gamma_n
+    gam = gamma_phase(n, x, beta)
     t = 2 * math.pi * np.arange(points) / points
     g = np.concatenate([np.cos(np.outer(c, ks) + gam) @ vals
                         for c in np.array_split(t, max(1, points // 2048))])
@@ -662,7 +662,7 @@ def test_duality_antinode_at_tiny_scale_encloses_the_closed_form(n):
     q, x = 0.5, math.pi / (2 * n - 1)
     iv = duality_sup(Geometric(q), 0.0, n, x)
     truth = sine_factor(n, x) * q ** n * _geometric_half_range(
-        q, n, gamma_phase(n, x, 0.0).gamma_n)
+        q, n, gamma_phase(n, x, 0.0))
     assert iv.contains(truth, slack=1e-13 * truth), (iv, truth)
     assert iv.width <= 1e-11 * truth
 

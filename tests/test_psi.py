@@ -1210,11 +1210,9 @@ _PUBLIC_CALLS = {
     "poisson_bounds": lambda d: pk.poisson_bounds(
         d.real(0.0), d.count(cap=64), d.point(), d.real(0.0, closed=True)),
     "dq_bound": lambda d: pk.dq_bound(
-        d.psi(), d.count(cap=64), d.point(), d.real(0.0, closed=True),
-        d.real(0.0)),
+        d.psi(), d.count(cap=64), d.point(), d.real(0.0, closed=True)),
     "d0_bound": lambda d: pk.d0_bound(
-        d.psi(), d.count(cap=64), d.point(), d.real(0.0, closed=True),
-        d.real(0.0)),
+        d.psi(), d.count(cap=64), d.point(), d.real(0.0, closed=True)),
     "duality_sup": lambda d: pk.duality_sup(
         d.psi(), d.real(), d.count(cap=8), d.point(array=False), d.rel_tol()),
     "duality_sup_batch": lambda d: pk.duality_sup_batch(
@@ -1236,13 +1234,13 @@ _PUBLIC_CALLS = {
 # and callables whose numbers come in through the records above
 _NO_NUMBERS = {
     "ApproxResult", "BoundReport", "CertifiedSum", "Characteristics",
-    "ClassFlags", "ClassicalReport", "GammaPhase", "Interval",
+    "ClassFlags", "ClassicalReport", "Interval",
     "Lemma1Result", "PoissonBounds", "SharpnessRow", "Thm3Brackets",
     "DivisionDomain", "HypothesisUnmet", "NonMonotone", "PsikernError",
     "SlowConvergence", "SolverStall", "TrendViolation",
     "UnknownRatioMonotonicity", "ZeroMultiplier",
     "PsiFamily", "LogLogPower", "ExpLogSquared", "ExpTOverLog",
-    "PeriodicFn", "psi_derivative", "psi_integral", "psi_to_dict",
+    "psi_derivative", "psi_integral", "psi_to_dict",
 }
 
 
@@ -1428,3 +1426,37 @@ def test_polyharmonic_large_l_refuses_instead_of_overflowing():
     # a small l keeps its finite eps_n
     eps, _ = PolyharmonicPoisson(0.5, 6)._eps_sup(4, 0.5)
     assert math.isfinite(eps) and eps > 0.0
+
+
+def test_polyharmonic_overflow_is_a_typed_refusal():
+    # q^k P(k) was 0 * inf: eval returned nan, and the sums raised a bare
+    # ValueError after numpy overflow warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(HypothesisUnmet):
+            pk.eval(PolyharmonicPoisson(0.5, 2000), 3000)
+        with _time_limit(2.0), pytest.raises(PsikernError):
+            tail_sum(PolyharmonicPoisson(0.5, 50000), 1, budget=10**5)
+
+
+def test_polyharmonic_poly_stops_once_its_terms_add_nothing():
+    # l = 200,000 polynomial passes once took 8 s; every term past the
+    # first few dozen adds nothing to P at k <= 4,098
+    with _time_limit(1.0):
+        flags = class_check(PolyharmonicPoisson(0.999, 200_000), [1])[1]
+    assert flags == pk.ClassFlags(
+        1, True, 0.999, 1.5946175731472815e+21, False, True, True, False,
+        False, False)
+
+
+@pytest.mark.parametrize("q, l", [(0.7, 3), (0.5, 40), (0.9, 300),
+                                  (0.999, 20_000), (0.05, 60)])
+def test_polyharmonic_poly_matches_the_full_sum_to_the_bit(q, l):
+    k = np.concatenate([np.arange(1.0, 4099.0, 7.0),
+                        np.linspace(1.0, 2.0, 11)])
+    p, term = np.ones_like(k), np.ones_like(k)
+    for j in range(1, l):  # every one of the l - 1 terms
+        term = term * (1.0 - q ** 2) / (2.0 * j) * (k + 2.0 * (j - 1))
+        p = p + term
+    assert np.all(np.isfinite(p))
+    assert np.array_equal(PolyharmonicPoisson(q, l)._poly(k), p)
