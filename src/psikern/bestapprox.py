@@ -91,26 +91,22 @@ class _Design(NamedTuple):
     jitter: np.ndarray
 
 
-def _design(n: int, t: np.ndarray) -> _Design:
-    """Columns [1/2, cos t..cos (n-1)t, sin t..sin (n-1)t]; the coefficient
-    vector is then exactly TrigPoly's (a0, a, b) layout.  The arrays are
-    read-only, since _grid_design shares them between calls."""
-    jt = np.outer(t, np.arange(1, n))
-    Phi = np.column_stack([np.full(len(t), 0.5), np.cos(jt), np.sin(jt)])
-    PhiT = np.ascontiguousarray(Phi.T)
-    gold = (np.arange(len(t)) * (0.5 * (math.sqrt(5.0) - 1.0))) % 1.0
-    D = _Design(Phi, PhiT, np.einsum("ij,ij->i", PhiT, PhiT), 2.0 * gold - 1.0)
-    for a in D:
-        a.flags.writeable = False
-    return D
-
-
 # a handful of (n, M): one entry holds two M x (2n-1) arrays, 17 MB each
 # at n = 128
 @functools.lru_cache(maxsize=4)
 def _grid_design(n: int, M: int) -> _Design:
-    """The design on the uniform M-point grid, built once per (n, M)."""
-    return _design(n, _grid(n, M))
+    """The design on the uniform M-point grid t, built once per (n, M):
+    columns [1/2, cos t..cos (n-1)t, sin t..sin (n-1)t], so the
+    coefficient vector is exactly TrigPoly's (a0, a, b) layout.  The
+    arrays are read-only, since every call at (n, M) shares them."""
+    jt = np.outer(_uniform_grid(M), np.arange(1, n))
+    Phi = np.column_stack([np.full(M, 0.5), np.cos(jt), np.sin(jt)])
+    PhiT = np.ascontiguousarray(Phi.T)
+    gold = (np.arange(M) * (0.5 * (math.sqrt(5.0) - 1.0))) % 1.0
+    D = _Design(Phi, PhiT, np.einsum("ij,ij->i", PhiT, PhiT), 2.0 * gold - 1.0)
+    for a in D:
+        a.flags.writeable = False
+    return D
 
 
 def _coeff_poly(n: int, c: np.ndarray) -> TrigPoly:
@@ -122,10 +118,6 @@ def _grid_size(n: int, M: int | None) -> tuple[int, int]:
     when None)."""
     n = _index(n)
     return n, 64 * n if M is None else _index(M, 8 * n, "M")
-
-
-def _grid(n: int, M: int | None) -> np.ndarray:
-    return _uniform_grid(_grid_size(n, M)[1])
 
 
 def _nonsingular(op, it: int, what: str, *args) -> np.ndarray:
@@ -427,7 +419,7 @@ def oracle_best_l1(f, n: int, M: int | None = None) -> float:
         raise ValueError("oracle covers n in {1, 2} only")
     t = _uniform_grid(M)
     fv = _sample(f, t)
-    Phi = _design(n, t).Phi
+    Phi = _grid_design(n, M).Phi
     d = 2 * n - 1
     w = 2.0 * math.pi / M
     B = 2.0 * (float(np.max(np.abs(fv))) + 1.0)

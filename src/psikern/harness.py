@@ -623,20 +623,16 @@ def _write_csv(fh, blocks: list) -> None:
             if not isinstance(v, np.ndarray):
                 text += _text(v) + sep
                 continue
-            parts.append(text)
+            parts.append(text.encode())
             parts.append(cur[id(v)] if v.dtype.kind == "f"
                          else (v.view(np.uint8) + ord("0"))[:, None])
             text = sep
-        parts.append(text)
-        if any(isinstance(p, str) and "\0" in p for p in parts):
+        parts.append(text.encode())
+        if any(isinstance(p, bytes) and b"\0" in p for p in parts):
             raise ValueError("a CSV field holds NUL")
-        parts = [np.frombuffer(p.encode(), np.uint8) if isinstance(p, str)
-                 else p for p in parts]
-        chars = np.empty((m, sum(p.shape[-1] for p in parts)), np.uint8)
-        o = 0
-        for p in parts:
-            chars[:, o:o + p.shape[-1]] = p
-            o += p.shape[-1]
+        chars = np.concatenate(
+            [np.broadcast_to(np.frombuffer(p, np.uint8), (m, len(p)))
+             if isinstance(p, bytes) else p for p in parts], axis=1)
         fh.write(chars.tobytes().translate(None, b"\0").decode())
         prev = cur
 

@@ -60,8 +60,6 @@ def interpolate(samples, n: int) -> TrigPoly:
     s, N = _samples(samples, n), 2 * n - 1
     xk = nodes(n).nodes
     a0 = 2.0 / N * float(np.sum(s))
-    if n == 1:
-        return TrigPoly(a0, np.zeros(0), np.zeros(0))
     jxk = np.outer(np.arange(1, n), xk)
     a = 2.0 / N * (np.cos(jxk) @ s)
     b = 2.0 / N * (np.sin(jxk) @ s)

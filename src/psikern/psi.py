@@ -237,8 +237,12 @@ class PsiFamily:
         return float(self._values_array(np.array([float(k)]))[0])
 
     def label(self) -> str:
-        ps = ",".join(f"{k}={v:g}" for k, v in self.params().items()
-                      if not isinstance(v, (list, tuple, np.ndarray, dict)))
+        # an int prints in decimal, a float as :g when that text reads
+        # back as the same float and as repr otherwise, so distinct
+        # families get distinct labels
+        ps = ",".join(f"{k}={v:g}" if isinstance(v, float)
+                      and float(f"{v:g}") == v else f"{k}={v!r}"
+                      for k, v in self.params().items())
         return f"{self.kind}({ps})" if ps else self.kind
 
     def __repr__(self):  # pragma: no cover - cosmetic
@@ -618,22 +622,6 @@ def _frozen_exponent_tail(u: float, m: float, p: float) -> float:
     return u ** (p - m) / (m - p)
 
 
-def _ratio_tail(psi_K: float, rho: float) -> float:
-    # sum_{k>K} psi(k) <= psi(K) rho/(1-rho) when every ratio
-    # psi(k+1)/psi(k), k >= K, is at most rho; inf until rho < 1
-    if rho >= 1.0:
-        return math.inf
-    return psi_K * rho / (1.0 - rho)
-
-
-def _ratio_ktail(K: int, psi_K: float, rho: float) -> float:
-    # sum_{k>K} k psi(k) <= psi(K) (K rho/(1-rho) + rho/(1-rho)^2) under
-    # the same ratio envelope
-    if rho >= 1.0:
-        return math.inf
-    return psi_K * (K * rho / (1.0 - rho) + rho / (1.0 - rho) ** 2)
-
-
 # Euler-Maclaurin for the Hurwitz zeta function: shift a to x = a + N with
 # x >= s + _EM_SHIFT, then add _EM_TERMS Bernoulli corrections.  Every
 # correction ratio (s+2j-1)(s+2j)/(2 pi x)^2 is then below 1/(4 pi^2).
@@ -1001,7 +989,26 @@ class ExpTOverLog(PsiFamily):
         return lu * lu / (lu - 1.0)
 
 
-class PolyharmonicPoisson(PsiFamily):
+class _RatioEnvelope(PsiFamily):
+    """A family whose subclass hook _rho(K) bounds every ratio
+    psi(k+1)/psi(k), k >= K: both tail majorants are the geometric
+    envelope from psi(K)."""
+
+    def _tail_remainder(self, K):
+        # sum_{k>K} psi(k) <= psi(K) rho/(1-rho) when every ratio
+        # psi(k+1)/psi(k), k >= K, is at most rho; inf until rho < 1
+        psi_K, rho = self.value(K), self._rho(K)
+        return math.inf if rho >= 1.0 else psi_K * rho / (1.0 - rho)
+
+    def _ktail_remainder(self, K):
+        # sum_{k>K} k psi(k) <= psi(K) (K rho/(1-rho) + rho/(1-rho)^2) under
+        # the same ratio envelope
+        psi_K, rho = self.value(K), self._rho(K)
+        return math.inf if rho >= 1.0 \
+            else psi_K * (K * rho / (1.0 - rho) + rho / (1.0 - rho) ** 2)
+
+
+class PolyharmonicPoisson(_RatioEnvelope):
     """psi(k) = q^k (1 + sum_{j=1}^{l-1} (1-q^2)^j/(j! 2^j) prod_{v=0}^{j-1}(k+2v)).
 
     The bracket polynomial has nonnegative coefficients, so the ratio
@@ -1055,7 +1062,7 @@ class PolyharmonicPoisson(PsiFamily):
 
     def _growth(self, K):
         # (1 + 1/K)^(l-1) bounds P(k+1)/P(k) for every k >= K; inf where
-        # it leaves the double range, which _ratio_tail reads as no bound
+        # it leaves the double range, which the envelope reads as no bound
         try:
             return (1.0 + 1.0 / K) ** (self.l - 1)
         except OverflowError:
@@ -1063,12 +1070,6 @@ class PolyharmonicPoisson(PsiFamily):
 
     def _rho(self, K):
         return self.q * self._growth(K)
-
-    def _tail_remainder(self, K):
-        return _ratio_tail(self.value(K), self._rho(K))
-
-    def _ktail_remainder(self, K):
-        return _ratio_ktail(K, self.value(K), self._rho(K))
 
     def _eps_sup(self, n, q):
         kp = max(4 * n, 4096)
@@ -1087,7 +1088,7 @@ class PolyharmonicPoisson(PsiFamily):
         return float(max(dev.max(), beyond)), mono
 
 
-class AnalyticSech(PsiFamily):
+class AnalyticSech(_RatioEnvelope):
     """psi(k) = 2/(q^(-k) + q^k): coefficients of an analytic-class kernel.
 
     The ratio decreases to q from above, so rho(K) itself is the certified
@@ -1108,18 +1109,12 @@ class AnalyticSech(PsiFamily):
         qk = self.q ** k
         return 2.0 * qk / (1.0 + qk * qk)
 
-    def _ratio(self, k):
+    def _rho(self, k):
         q2k = self.q ** (2 * k)
         return self.q * (1.0 + q2k) / (1.0 + q2k * self.q * self.q)
 
-    def _tail_remainder(self, K):
-        return _ratio_tail(self.value(K), self._ratio(K))
-
-    def _ktail_remainder(self, K):
-        return _ratio_ktail(K, self.value(K), self._ratio(K))
-
     def _eps_sup(self, n, q):
-        return self._ratio(n) - q, True
+        return self._rho(n) - q, True
 
     def _psi_continuous(self, t):
         L = math.log(1.0 / self.q)
@@ -1278,8 +1273,6 @@ class Tabulated(PsiFamily):
         return float(np.sum(self.table[K:]))
 
     def _ktail_remainder(self, K):
-        if K >= len(self.table):
-            return 0.0
         ks = np.arange(K + 1.0, len(self.table) + 1.0)
         return float(np.dot(ks, self.table[K:]))
 

@@ -164,12 +164,8 @@ def dirichlet(n: int, t):
     safe = ~near
     out[safe] = np.sin((n - 0.5) * t[safe]) / (2.0 * s[safe])
     if np.any(near):
-        tn = t[near]
-        if n == 1:
-            out[near] = 0.5
-        else:
-            kt = np.outer(tn, np.arange(1, n))
-            out[near] = 0.5 + np.sum(np.cos(kt), axis=1)
+        kt = np.outer(t[near], np.arange(1, n))
+        out[near] = 0.5 + np.sum(np.cos(kt), axis=1)
     return out
 
 
@@ -193,10 +189,7 @@ def psi_integral(spec: KernelSpec, phi: TrigPoly) -> TrigPoly:
     """Multiplier action of the convolution: the k-th harmonic pair is
     scaled by psi(k) and rotated by the phase beta*pi/2; the constant term
     passes through unchanged."""
-    m = phi.order
-    if m == 0:
-        return TrigPoly(phi.a0, np.zeros(0), np.zeros(0))
-    pk = spec.psi.head(m).copy()
+    pk = spec.psi.head(phi.order)
     c = spec.phase
     ca, sa = math.cos(c), math.sin(c)
     return TrigPoly(phi.a0,
@@ -211,8 +204,6 @@ def psi_derivative(f: TrigPoly, spec: KernelSpec) -> TrigPoly:
     psi_derivative(psi_integral(phi)) recovers phi with its mean removed.
     """
     m = f.order
-    if m == 0:
-        return TrigPoly.zero()
     pk = spec.psi.head(m)
     dead = pk == 0.0
     hit = np.flatnonzero(dead & ((f.a != 0.0) | (f.b != 0.0)))

@@ -28,6 +28,7 @@ from psikern import (
 )
 from psikern.errors import SolverStall
 from psikern.harness import _random_phi
+from psikern.trig import _uniform_grid
 
 DISCRETE_ABS_COS = 3.996786721940289  # (pi/32) * sum_{j<64} |cos(pi j/32)|
 
@@ -162,9 +163,10 @@ def test_l1_iteration_cap_raises():
     """The iteration cap is the simplex's only guard on termination."""
     n = 16
     phi = _random_phi(np.random.default_rng([12345, 2]), n)
-    t = bestapprox._grid(n, None)
+    t = _uniform_grid(64 * n)
     with pytest.raises(SolverStall) as err:
-        bestapprox._l1_revised(bestapprox._design(n, t), phi(t), max_iter=2)
+        bestapprox._l1_revised(bestapprox._grid_design(n, 64 * n), phi(t),
+                               max_iter=2)
     assert err.value.iterations == 2
 
 

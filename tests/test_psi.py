@@ -55,6 +55,7 @@ from psikern.errors import (
     SlowConvergence,
     UnknownRatioMonotonicity,
 )
+from psikern.harness import DEFAULT_PSI_SPECS
 from psikern.psi import CertifiedSum, Lemma1Result, hurwitz_zeta
 
 # family factory, n, oracle T, oracle W, oracle D (None = not frozen),
@@ -282,6 +283,20 @@ def test_dict_round_trip(make):
     assert np.allclose(clone.head(40), psi.head(40), rtol=0, atol=0)
 
 
+def test_labels_tell_families_apart():
+    """An int prints in decimal, and a float as :g only when that text
+    reads back as the same float; the reports sort and print by label."""
+    assert Geometric(0.5).label() != Geometric(0.5000001).label()
+    assert Geometric(0.5000001).label() == "geometric(q=0.5000001)"
+    assert Geometric(math.exp(-1.0)).label() \
+        == "geometric(q=0.36787944117144233)"
+    assert PolyharmonicPoisson(0.5, 10 ** 6).label() \
+        == "polyharmonic_poisson(q=0.5,l=1000000)"
+    assert [psi_from_dict(dict(s)).label() for s in DEFAULT_PSI_SPECS] == [
+        "geometric(q=0.5)", "gen_poisson(alpha=1,r=0.5)", "neumann(q=0.5)",
+        "even_odd(q1=0.9,q2=0.5)"]
+
+
 def test_characteristics_gen_poisson_exact():
     # closed characteristics at t = 9: lambda = 2 sqrt(t), eta from
     # psi(eta) = psi(t)/2, mu = t/(eta - t)
@@ -486,12 +501,16 @@ def _counting_reference(psi, n, N=1 << 16):
     lambda: Neumann(0.9),
     lambda: ExpLogSquared(),
     lambda: ExpTOverLog(),
-], ids=["gen_poisson", "neumann0.5", "neumann0.9", "els", "etl"])
+    lambda: AnalyticSech(0.6),
+    lambda: PolyharmonicPoisson(0.7, 3),
+], ids=["gen_poisson", "neumann0.5", "neumann0.9", "els", "etl", "sech0.6",
+        "polyharmonic0.7"])
 def test_cached_tails_enclose_reference_at_loose_tolerances(make):
     """At loose rel_tol the remainder bound is a visible part of each
     interval, so it must cover what the cache leaves out.  Neumann(0.9)'s
     k-weighted majorant is exact, so a remainder that drops the plain tail
-    term fails here."""
+    term fails here; the two ratio-envelope families guard the K rho/(1-rho)
+    term of their k-weighted bound the same way."""
     for n in (1, 4, 17):
         ref = _counting_reference(make(), n)
         for rel_tol in (1e-3, 1e-6):
@@ -725,6 +744,9 @@ def test_tabulated_sums_are_exact(values, n):
     W = weighted_tail(psi, n)
     expect_w = float(sum(j * vals[n + j - 1] for j in range(1, m - n + 1))) / n
     assert W.value == pytest.approx(expect_w, rel=1e-12, abs=1e-13)
+    # nothing lies past the table
+    for K in (m, m + 1, m + n):
+        assert psi._tail_remainder(K) == 0.0 and psi._ktail_remainder(K) == 0.0
 
 
 @given(n=st.integers(1, 60))

@@ -88,6 +88,8 @@ def test_dirichlet_near_singularity():
     # continuity across the series/ratio switchover
     lo, hi = dirichlet(7, 9.9e-9), dirichlet(7, 1.1e-8)
     assert lo == pytest.approx(hi, abs=1e-10)
+    # order 0: the cosine sum below the switchover is its constant alone
+    assert dirichlet(1, 0.0) == 0.5 and dirichlet(1, 5e-9) == 0.5
     with pytest.raises(ValueError):
         dirichlet(0, 1.0)
 
@@ -217,3 +219,10 @@ def test_integral_constant_passthrough():
     f = psi_integral(spec, TrigPoly(3.0, [0.0], [0.0]))
     assert f.a0 == 3.0 and f.order == 1
     assert np.all(f.a == 0.0) and np.all(f.b == 0.0)
+    # an order-0 polynomial: the constant passes through the integral and
+    # is dropped by the derivative, with empty float64 coefficient arrays
+    c = TrigPoly(3.0, [], [])
+    for g, a0 in ((psi_integral(spec, c), 3.0),
+                  (psi_derivative(c, spec), 0.0)):
+        assert g.a0 == a0 and g.order == 0
+        assert g.a.dtype == g.b.dtype == np.float64 and g.b.shape == (0,)
