@@ -631,7 +631,7 @@ def _write_csv(fh, blocks: list) -> None:
         if any(isinstance(p, bytes) and b"\0" in p for p in parts):
             raise ValueError("a CSV field holds NUL")
         chars = np.concatenate(
-            [np.broadcast_to(np.frombuffer(p, np.uint8), (m, len(p)))
+            [np.frombuffer(p * m, np.uint8).reshape(m, len(p))
              if isinstance(p, bytes) else p for p in parts], axis=1)
         fh.write(chars.tobytes().translate(None, b"\0").decode())
         prev = cur
