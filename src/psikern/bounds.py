@@ -4,8 +4,9 @@ plus the duality route that computes the class sup numerically exactly.
 Every quantity here carries the oscillation factor
 (2/pi)|sin((2n-1)x/2)|, which vanishes at the interpolation nodes; the
 bracket constants are interval endpoints taken verbatim from the source
-estimates.  Certified tail sums enter through their upper ends wherever
-an upper bound is promised.
+estimates.  Certified tail sums, like every enclosure, are read through
+their ends [lo, hi]: the upper end wherever an upper bound is promised,
+the lower end wherever a lower one is.
 
 sine_factor (defined in interp, re-exported here), thm1_rhs,
 thm1_rhs_modified and thm2_sup_bracket take x as a float or a numpy
@@ -22,7 +23,6 @@ can fall short of the true ones, from branch and bound over grid cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +32,7 @@ from .interp import sine_factor
 from .psi import (
     DEFAULT_REL_TOL,
     Geometric,
+    Interval,
     PsiFamily,
     _finite,
     _index,
@@ -53,35 +54,6 @@ XI2_SUP_RANGE = (-(1.0 + PI), 2.0 + PI)
 # the implementation's bounding constant for the O(1) terms that the
 # source estimates of dq_bound and d0_bound leave unpinned
 UNPINNED_C = 8.0
-
-@dataclass(frozen=True)
-class Interval:
-    """[lo, hi], with float endpoints or, for brackets over an x grid,
-    numpy arrays of endpoints; every endpoint must be finite (a bound past
-    the double range raises), and every lo <= its hi.  The containment
-    tests give a bool, or a bool array for array endpoints."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        ok = (-math.inf < self.lo) & (self.lo <= self.hi) & (self.hi < math.inf)
-        if not (ok.all() if isinstance(ok, np.ndarray) else ok):
-            raise ValueError(f"interval [{self.lo}, {self.hi}] is not finite and ordered")
-
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def contains(self, v: float, slack: float = 0.0) -> bool:
-        return (self.lo - slack <= v) & (v <= self.hi + slack)
-
-    def contains_interval(self, other: "Interval", slack: float = 0.0) -> bool:
-        return (self.lo - slack <= other.lo) & (other.hi <= self.hi + slack)
 
 
 def gamma_phase(n: int, x: float, beta: float) -> float:
@@ -119,7 +91,7 @@ def thm2_sup_bracket(psi: PsiFamily, beta: float, n: int, x: float) -> Interval:
     T = tail_sum(psi, n)
     W = weighted_tail(psi, n)
     s = sine_factor(n, x)
-    return Interval(s * (T.value - (1.0 + PI) * W.hi), s * (T.hi + W.hi))
+    return Interval(s * (T.lo - (1.0 + PI) * W.hi), s * (T.hi + W.hi))
 
 
 class Thm3Brackets(NamedTuple):

@@ -196,12 +196,12 @@ def _cmd_psi_info(args) -> int:
            "m_alpha_member": psi.m_alpha_member}
     for n in _parse_n_list(args.n or "4"):
         entry = {"psi_n": psi.value(n)}
-        # each certified sum as its enclosure [value, value_hi]
+        # each certified sum as its enclosure [lo, hi], keyed name and name_hi
         for name, fn in (("tail_sum", tail_sum),
                          ("weighted_tail", weighted_tail),
                          ("double_tail", double_tail)):
             S = fn(psi, n)
-            entry[name], entry[f"{name}_hi"] = S.value, S.hi
+            entry[name], entry[f"{name}_hi"] = S.lo, S.hi
         entry["limit_ratio"] = limit_ratio(psi, n)
         try:
             ch = characteristics(psi, float(n))

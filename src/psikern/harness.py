@@ -241,12 +241,18 @@ def verify_lebesgue(config: ExperimentConfig,
 def sharpness_probe(config: ExperimentConfig,
                     out_csv: str | None = None,
                     out_json: str | None = None):
-    """Ratio of the duality sup to its tail-sum prediction at the
-    antinode x = pi/(2n-1), with the envelope
+    """Ratio of the duality sup to its tail-sum prediction s T at the
+    antinode x = pi/(2n-1), s the sine factor, read at the duality
+    interval's midpoint and T's value, with the envelope
     [1 - (1+pi) r_n, 1 + r_n], r_n = weighted_tail/tail_sum.
 
-    Raises TrendViolation the moment a ratio leaves its envelope (beyond
-    the certified numeric slack)."""
+    Raises TrendViolation the moment a ratio leaves its envelope by more
+    than its slack: the duality interval's half-width and T's remainder,
+    both relative to s T, plus 1e-9.  The 1e-9 stands for the rounding
+    that the duality interval does not count yet: on GenPoisson(1, 2) its
+    lower end can lie a few ulps above s T, which the true sup never
+    exceeds, so a rule that read the interval's ends alone would refuse
+    cells whose true ratio is inside the envelope."""
     blocks = []
     for psi, n in _cells(config):
         x = PI / (2 * n - 1)

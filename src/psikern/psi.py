@@ -7,7 +7,7 @@ weights the cosine-series kernel
 
 Everything downstream (kernel evaluation, deviation bounds, sharpness
 probes) consumes three tail quantities, each returned as a CertifiedSum
-whose true value is trapped in [value, value + remainder_bound]:
+whose true value is trapped in [lo, hi] = [value, value + remainder_bound]:
 
     tail_sum(n)      = sum_{k>=n} psi(k)
     weighted_tail(n) = (1/n) sum_{k>=1} k psi(k+n)
@@ -59,11 +59,10 @@ _GROW_LOCK = threading.Lock()
 class CertifiedSum:
     """A partial sum together with a certified bound on what was left out.
 
-    For a nonnegative-term series the true sum lies in
-    [value, value + remainder_bound].  Signed series (kernel values) use
-    the symmetric reading value +- remainder_bound; see trig.kernel_eval.
-    Bounds are evaluated in float64: quantities below the subnormal range
-    round to zero.
+    The series has nonnegative terms, so the true sum lies in [lo, hi] =
+    [value, value + remainder_bound]: a CertifiedSum reads through its
+    ends, as an Interval does.  Bounds are evaluated in float64:
+    quantities below the subnormal range round to zero.
 
     Closed forms come in two kinds.  The power family's Hurwitz zeta
     values carry a nonzero remainder_bound that covers both the
@@ -84,8 +83,42 @@ class CertifiedSum:
             raise ValueError("certified sum needs a finite value and remainder_bound >= 0")
 
     @property
+    def lo(self) -> float:
+        return self.value
+
+    @property
     def hi(self) -> float:
         return self.value + self.remainder_bound
+
+
+@dataclass(frozen=True)
+class Interval:
+    """[lo, hi], with float endpoints or, for brackets over an x grid,
+    numpy arrays of endpoints; every endpoint must be finite (a bound past
+    the double range raises), and every lo <= its hi.  The containment
+    tests give a bool, or a bool array for array endpoints."""
+
+    lo: float
+    hi: float
+
+    def __post_init__(self):
+        ok = (-math.inf < self.lo) & (self.lo <= self.hi) & (self.hi < math.inf)
+        if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+            raise ValueError(f"interval [{self.lo}, {self.hi}] is not finite and ordered")
+
+    @property
+    def mid(self) -> float:
+        return 0.5 * (self.lo + self.hi)
+
+    @property
+    def width(self) -> float:
+        return self.hi - self.lo
+
+    def contains(self, v: float, slack: float = 0.0) -> bool:
+        return (self.lo - slack <= v) & (v <= self.hi + slack)
+
+    def contains_interval(self, other: "Interval", slack: float = 0.0) -> bool:
+        return (self.lo - slack <= other.lo) & (other.hi <= self.hi + slack)
 
 
 @dataclass(frozen=True)
@@ -441,14 +474,13 @@ def lemma1_check(psi: PsiFamily, n: int, rel_tol: float | None = None,
                  budget: int | None = None) -> Lemma1Result:
     """Check (1/n) sum k psi(k+n) >= sum_{k>=1} sum_{nu>=n+k(2n-1)} psi(nu).
 
-    holds is the certified-window reading: lhs >= rhs - slack where slack
-    stacks both remainder bounds plus float headroom.
+    lhs and rhs are the values of the two enclosures W and R.  holds reads
+    their ends, W.hi >= R.lo: it is False only when every value W's
+    enclosure allows is below every value R's allows, at any scale.
     """
     W = weighted_tail(psi, n, rel_tol, budget)
     R = double_tail(psi, n, rel_tol, budget, k_start=1)
-    slack = W.remainder_bound + R.remainder_bound \
-        + 1e-12 * (1.0 + W.value + R.value)
-    return Lemma1Result(W.value, R.value, bool(W.value >= R.value - slack))
+    return Lemma1Result(W.value, R.value, bool(W.hi >= R.lo))
 
 
 def truncation_order(psi: PsiFamily, rel_tol: float | None = DEFAULT_REL_TOL,
@@ -812,10 +844,8 @@ class Power(PsiFamily):
         return t / self.r
 
 
-class Geometric(PsiFamily):
-    """psi(k) = q^k, 0 < q < 1.  All three tails have closed forms."""
-
-    kind = "geometric"
+class _QFamily(PsiFamily):
+    """A family with a parameter q in (0, 1) that is also its ratio limit."""
 
     def __init__(self, q: float):
         super().__init__()
@@ -824,6 +854,12 @@ class Geometric(PsiFamily):
 
     def params(self):
         return {"q": self.q}
+
+
+class Geometric(_QFamily):
+    """psi(k) = q^k, 0 < q < 1.  All three tails have closed forms."""
+
+    kind = "geometric"
 
     def _values_array(self, k):
         return self.q ** k
@@ -989,7 +1025,7 @@ class ExpTOverLog(PsiFamily):
         return lu * lu / (lu - 1.0)
 
 
-class _RatioEnvelope(PsiFamily):
+class _RatioEnvelope(_QFamily):
     """A family whose subclass hook _rho(K) bounds every ratio
     psi(k+1)/psi(k), k >= K: both tail majorants are the geometric
     envelope from psi(K)."""
@@ -1019,10 +1055,8 @@ class PolyharmonicPoisson(_RatioEnvelope):
     kind = "polyharmonic_poisson"
 
     def __init__(self, q: float, l: int):
-        super().__init__()
-        self.q = _real(q, "q", 0.0, 1.0)
+        super().__init__(q)
         self.l = _index(l, 1, "l")
-        self.ratio_limit = self.q
 
     def params(self):
         return {"q": self.q, "l": self.l}
@@ -1097,14 +1131,6 @@ class AnalyticSech(_RatioEnvelope):
 
     kind = "analytic_sech"
 
-    def __init__(self, q: float):
-        super().__init__()
-        self.q = _real(q, "q", 0.0, 1.0)
-        self.ratio_limit = self.q
-
-    def params(self):
-        return {"q": self.q}
-
     def _values_array(self, k):
         qk = self.q ** k
         return 2.0 * qk / (1.0 + qk * qk)
@@ -1126,18 +1152,10 @@ class AnalyticSech(_RatioEnvelope):
         return 1.0 / (L * math.tanh(t * L))
 
 
-class Neumann(PsiFamily):
+class Neumann(_QFamily):
     """psi(k) = q^k / k.  k psi(k) = q^k makes the weighted tail exact."""
 
     kind = "neumann"
-
-    def __init__(self, q: float):
-        super().__init__()
-        self.q = _real(q, "q", 0.0, 1.0)
-        self.ratio_limit = self.q
-
-    def params(self):
-        return {"q": self.q}
 
     def _values_array(self, k):
         return self.q ** k / k
@@ -1301,7 +1319,10 @@ def psi_from_dict(spec: dict) -> PsiFamily:
     try:
         return _REGISTRY[kind](**kwargs)
     except TypeError as exc:    # an unknown or a missing key, named in exc
-        raise ValueError(f"{kind} family spec: {exc}") from exc
+        # after the "Class.__init__() " that Python puts first, which may
+        # name a base class
+        why = str(exc).partition("() ")[2] or exc
+        raise ValueError(f"{kind} family spec: {why}") from exc
 
 
 def psi_to_dict(psi: PsiFamily) -> dict:

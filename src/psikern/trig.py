@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroMultiplier
-from .psi import (DEFAULT_REL_TOL, CertifiedSum, PsiFamily, _finite, _index,
+from .psi import (DEFAULT_REL_TOL, Interval, PsiFamily, _finite, _index,
                   _real, truncation_order)
 
 # below this the closed Dirichlet form loses digits to the sine quotient
@@ -170,19 +170,21 @@ def dirichlet(n: int, t):
 
 
 def kernel_eval(spec: KernelSpec, t: float,
-                rel_tol: float = DEFAULT_REL_TOL) -> CertifiedSum:
-    """Kernel value sum_{k<=K} psi(k) cos(kt - beta*pi/2) with certified cutoff.
+                rel_tol: float = DEFAULT_REL_TOL) -> Interval:
+    """Enclosure [v - r, v + r] of the kernel value sum_k psi(k) cos(kt -
+    beta*pi/2), with v the sum over k <= K.
 
     K = truncation_order(psi, rel_tol), the smallest cutoff certified at
-    rel_tol relative to the full head sum tail_sum(1); the remainder bound
-    sum_{k>K} psi(k) dominates the dropped signed terms, so the true value
-    lies within value +- remainder_bound.
+    rel_tol relative to the full head sum tail_sum(1); r is the family's
+    bound on sum_{k>K} psi(k), which dominates the dropped signed terms.
+    The rounding of v is not counted.
     """
     _finite(t, "t")
     K = truncation_order(spec.psi, rel_tol)
     ks = np.arange(1.0, K + 1.0)
     value = float(np.dot(spec.psi.head(K), np.cos(ks * t - spec.phase)))
-    return CertifiedSum(value, float(spec.psi._tail_remainder(K)), K)
+    r = float(spec.psi._tail_remainder(K))
+    return Interval(value - r, value + r)
 
 
 def psi_integral(spec: KernelSpec, phi: TrigPoly) -> TrigPoly:

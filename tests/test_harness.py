@@ -12,6 +12,8 @@ import pytest
 
 from psikern import (
     ExperimentConfig,
+    Interval,
+    TrendViolation,
     best_l1,
     classical_lebesgue_check,
     duality_sup_batch,
@@ -118,6 +120,26 @@ def test_sharpness_rows_approach_one():
         assert r.x == pytest.approx(math.pi / (2 * r.n - 1))
         assert r.limit_ratio > 0.0
     assert summary["fail"] == 0
+
+
+@pytest.mark.parametrize("scale", [3.0, 0.1])
+def test_sharpness_probe_raises_outside_the_envelope(monkeypatch, scale):
+    # Geometric(0.5) at n = 8: ratio 0.949 inside the envelope
+    # [0.482, 1.125]; a duality interval times 3 (ratio 2.85) or times 0.1
+    # (ratio 0.095) leaves it
+    cfg = ExperimentConfig(psi_specs=({"kind": "geometric", "q": 0.5},),
+                           n_list=(8,))
+    (row,), _ = sharpness_probe(cfg)
+    assert row.env_lo < row.ratio < row.env_hi
+    real = harness.duality_sup
+
+    def scaled(*args):
+        iv = real(*args)
+        return Interval(scale * iv.lo, scale * iv.hi)
+
+    monkeypatch.setattr(harness, "duality_sup", scaled)
+    with pytest.raises(TrendViolation, match=r"geometric\(q=0.5\) n=8: ratio"):
+        sharpness_probe(cfg)
 
 
 def test_classical_check_small_run():

@@ -420,6 +420,25 @@ def test_lemma1_small_n(make):
         assert res.lhs >= 0.0 and res.rhs >= 0.0
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-20])
+def test_lemma1_check_fails_on_a_broken_sum_at_any_scale(monkeypatch, scale):
+    # at n = 1 both sides are sum_{nu>=2} (nu-1) psi(nu), so a double tail
+    # doubled in value and remainder must fail, however small the table:
+    # an absolute slack would pass it once the sums are below the slack
+    psi = Tabulated([scale * 0.5 ** k for k in range(12)])
+    res = lemma1_check(psi, 1)
+    assert res.holds and res.lhs == pytest.approx(res.rhs, rel=1e-15)
+    real = pk.psi.double_tail
+
+    def doubled(*args, **kwargs):
+        S = real(*args, **kwargs)
+        return CertifiedSum(2.0 * S.value, 2.0 * S.remainder_bound,
+                            S.terms_used)
+
+    monkeypatch.setattr(pk.psi, "double_tail", doubled)
+    assert lemma1_check(Tabulated(psi.table), 1).holds is False
+
+
 def test_truncation_order_certifies():
     # K is the smallest cutoff >= n whose remainder bound is within rel_tol
     # of tail_sum(n) (of 1 when that tail is 0), also on a cache that is
